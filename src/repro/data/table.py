@@ -10,12 +10,29 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.data.schema import Schema
 from repro.errors import EmptyTableError, SchemaError
 
-__all__ = ["Table"]
+__all__ = ["QIClasses", "Table"]
+
+
+class QIClasses(NamedTuple):
+    """A table's ground quasi-identifier equivalence classes.
+
+    ``keys[j]`` is the ``j``-th distinct QI tuple (in schema order, classes
+    ordered by first row) and ``rows[j]`` its ascending row indices;
+    ``sensitive`` is the sensitive column in row order; ``distinct[i]``
+    holds the distinct values of the ``i``-th quasi-identifier, sorted by
+    ``repr``. Every coarser grouping of the rows by generalized QI values
+    is a union of these classes.
+    """
+
+    keys: tuple[tuple, ...]
+    rows: tuple[tuple[int, ...], ...]
+    sensitive: tuple[Any, ...]
+    distinct: tuple[tuple[Any, ...], ...]
 
 
 class Table:
@@ -38,7 +55,7 @@ class Table:
     ('Flu',)
     """
 
-    __slots__ = ("_rows", "_schema", "_person_ids")
+    __slots__ = ("_rows", "_schema", "_person_ids", "_qi_classes")
 
     def __init__(self, rows: Iterable[Mapping[str, Any]], schema: Schema) -> None:
         self._schema = schema
@@ -53,6 +70,7 @@ class Table:
         else:
             ids = tuple(range(len(self._rows)))
         self._person_ids: tuple[Any, ...] = ids
+        self._qi_classes: QIClasses | None = None
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -166,6 +184,33 @@ class Table:
         chosen = sorted(rng.sample(range(len(self)), n))
         return Table([self._rows[i] for i in chosen], self._schema)
 
+    def qi_classes(self) -> QIClasses:
+        """The table's :class:`QIClasses` index.
+
+        Built by one row scan on first use and cached for the table's
+        lifetime (O(rows) memory), which is sound only because a table is
+        immutable.
+        """
+        index = self._qi_classes
+        if index is None:
+            # No lock: threads racing on the first call each build an equal
+            # index, and whichever assignment lands last is kept.
+            groups: dict[tuple, list[int]] = {}
+            for row, record in enumerate(self._rows):
+                groups.setdefault(self._schema.qi_tuple(record), []).append(row)
+            distinct = tuple(
+                tuple(sorted({key[i] for key in groups}, key=repr))
+                for i in range(len(self._schema.quasi_identifiers))
+            )
+            index = QIClasses(
+                tuple(groups),
+                tuple(map(tuple, groups.values())),
+                self.sensitive_values(),
+                distinct,
+            )
+            self._qi_classes = index
+        return index
+
     def group_by_qi(self) -> dict[tuple, list[Any]]:
         """Group person ids by their (current) quasi-identifier tuple.
 
@@ -173,10 +218,12 @@ class Table:
         in row order. This is the equivalence-class structure that both
         k-anonymity and bucketization operate on.
         """
-        groups: dict[tuple, list[Any]] = {}
-        for pid, record in zip(self._person_ids, self._rows):
-            groups.setdefault(self._schema.qi_tuple(record), []).append(pid)
-        return groups
+        pids = self._person_ids
+        index = self.qi_classes()
+        return {
+            key: [pids[row] for row in rows]
+            for key, rows in zip(index.keys, index.rows)
+        }
 
     def require_nonempty(self) -> None:
         """Raise :class:`EmptyTableError` if the table has no rows."""

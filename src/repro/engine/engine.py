@@ -99,6 +99,10 @@ class EngineStats:
         Unique plane keys whose series were computed by worker processes
         (their per-``k`` results reach callers via ``parallel_hits``
         assembly and cache warm-back).
+    backend_fallbacks:
+        Parallel batches the execution backend failed to run (unpicklable
+        plugin, fork restrictions, workers crashed twice, a model error),
+        handed back to the serial path.
     kernel:
         The concrete MINIMIZE1/MINIMIZE2 kernel the engine resolved to
         (``"numpy"`` or ``"scalar"``) — surfaced so benchmark artifacts and
@@ -111,6 +115,7 @@ class EngineStats:
     parallel_hits: int = 0
     evictions: int = 0
     parallel_tasks: int = 0
+    backend_fallbacks: int = 0
     kernel: str = "scalar"
 
     @property
@@ -133,6 +138,7 @@ class EngineStats:
             "hit_rate": round(self.hit_rate, 6),
             "evictions": self.evictions,
             "parallel_tasks": self.parallel_tasks,
+            "backend_fallbacks": self.backend_fallbacks,
             "kernel": self.kernel,
         }
 
@@ -572,9 +578,10 @@ class DisclosureEngine:
         """Compute the unique uncached plane keys on the execution backend.
 
         Returns ``{plane key: series}`` for the computed multisets (empty on
-        any backend failure — the serial path then takes over, recomputing
-        and re-raising any genuine model error cleanly) and warm-backs the
-        results into the shared cache so later calls hit."""
+        any backend failure, counted in ``stats.backend_fallbacks`` — the
+        serial path then takes over, recomputing and re-raising any genuine
+        model error cleanly) and warm-backs the results into the shared
+        cache so later calls hit."""
         name, params = m.name, m.params_key()
         pending: dict[tuple, None] = {}
         for b in bucketizations:
@@ -598,7 +605,8 @@ class DisclosureEngine:
             )
         except Exception:
             # Backend unavailable (unpicklable plugin, fork restrictions,
-            # workers crashed twice) — degrade silently to the serial path.
+            # workers crashed twice) — degrade to the serial path.
+            self.stats.backend_fallbacks += 1
             return {}
         warmed: dict[tuple, dict[int, object]] = {}
         for plane_key, series in zip(pending, all_series):

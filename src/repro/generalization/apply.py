@@ -4,17 +4,39 @@ Under full identification information, publishing the generalized table is
 equivalent to publishing the bucketization whose buckets are the generalized
 QI equivalence classes (Section 2.1); :func:`bucketize_at` produces exactly
 that bucketization, which is what all disclosure computations consume.
+
+A coarser node's classes are unions of a finer node's (the roll-up property
+Incognito rests on), so :func:`bucketize_at` never rescans rows. It rolls up
+the table's ground QI equivalence classes (:meth:`Table.qi_classes
+<repro.data.table.Table.qi_classes>`): each distinct ground value is
+generalized once per attribute, and each class joins the bucket of its
+generalized key. That index is built lazily, on the first bucketization of a
+table; it costs O(rows) memory, held for as long as the table lives; and
+caching it is sound only because :class:`~repro.data.table.Table` is
+immutable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from itertools import chain
+from operator import itemgetter
 
+from repro.bucketization.bucket import Bucket
 from repro.bucketization.bucketization import Bucketization
 from repro.data.table import Table
+from repro.generalization.hierarchy import Hierarchy
 from repro.generalization.lattice import GeneralizationLattice
 
 __all__ = ["generalize_table", "bucketize_at"]
+
+
+def _check_attributes(table: Table, lattice: GeneralizationLattice) -> None:
+    """Raise unless ``lattice`` covers exactly ``table``'s quasi-identifiers."""
+    if set(lattice.attributes) != set(table.schema.quasi_identifiers):
+        raise ValueError(
+            "lattice attributes do not match the table's quasi-identifiers"
+        )
 
 
 def generalize_table(
@@ -23,10 +45,7 @@ def generalize_table(
     """Return ``table`` with every quasi-identifier coarsened to ``node``'s
     levels (the published full-domain generalization)."""
     node = lattice.validate(node)
-    if set(lattice.attributes) != set(table.schema.quasi_identifiers):
-        raise ValueError(
-            "lattice attributes do not match the table's quasi-identifiers"
-        )
+    _check_attributes(table, lattice)
     return table.map_qi(
         lambda attribute, value: lattice.generalize_value(attribute, value, node)
     )
@@ -39,27 +58,76 @@ def bucketize_at(
     per generalized-QI equivalence class.
 
     This is the object the (c,k)-safety check takes; it avoids materializing
-    the generalized table.
+    the generalized table, and is identical (bucket order, person ids and
+    sensitive values in row order) to
+    ``Bucketization.from_table(generalize_table(table, lattice, node))``.
+    It rolls up the table's QI class index instead of scanning rows. The
+    index is built lazily, on the first call for ``table``, and is then held
+    for as long as the table lives (O(rows) memory); caching it is sound only
+    because a :class:`~repro.data.table.Table` is immutable.
+
+    Raises
+    ------
+    ValueError
+        If the lattice's attributes are not exactly the table's
+        quasi-identifiers.
+    EmptyTableError
+        If ``table`` has no rows.
     """
     node = lattice.validate(node)
-    schema = table.schema
+    _check_attributes(table, lattice)
+    levels = dict(zip(lattice.attributes, node))
+    attributes = table.schema.quasi_identifiers
+    return _roll_up(
+        table,
+        lattice.hierarchies,
+        attributes,
+        [levels[attribute] for attribute in attributes],
+    )
 
-    # Generalize each distinct ground value once per attribute (ages repeat
-    # tens of thousands of times in the Adult data); the per-record key is
-    # then pure dict lookups.
-    attributes = schema.quasi_identifiers
-    mappings = []
-    for attribute in attributes:
-        mapping = {
-            value: lattice.generalize_value(attribute, value, node)
-            for value in table.distinct(attribute)
+
+def _roll_up(
+    table: Table,
+    hierarchies: Mapping[str, Hierarchy],
+    attributes: Sequence[str],
+    levels: Sequence[int],
+) -> Bucketization:
+    """Group ``table``'s rows by their QIs in ``attributes`` generalized to
+    ``levels``, keyed in ``attributes`` order — the same bucketization as
+    ``Bucketization.from_table`` with that per-record key, built from the
+    table's QI classes instead of its rows."""
+    table.require_nonempty()
+    index = table.qi_classes()
+    qi = table.schema.quasi_identifiers
+    positions = [qi.index(attribute) for attribute in attributes]
+    mappings = [
+        {
+            value: hierarchies[attribute].generalize(value, level)
+            for value in index.distinct[position]
         }
-        mappings.append(mapping)
-
-    def key(record: dict) -> tuple:
-        return tuple(
-            mapping[record[attribute]]
-            for attribute, mapping in zip(attributes, mappings)
-        )
-
-    return Bucketization.from_table(table, key=key)
+        for attribute, level, position in zip(attributes, levels, positions)
+    ]
+    columns = list(zip(*index.keys))
+    keys = zip(
+        *[
+            map(mapping.__getitem__, columns[position])
+            for mapping, position in zip(mappings, positions)
+        ]
+    )
+    groups: dict[tuple, list[tuple[int, ...]]] = {}
+    for key, rows in zip(keys, index.rows):
+        groups.setdefault(key, []).append(rows)
+    person_ids, sensitive = table.person_ids, index.sensitive
+    buckets = []
+    # Bucket order and in-bucket row order match the per-record grouping:
+    # groups are sorted by key repr (stably, in first-row order), and each
+    # group's classes are re-sorted into ascending row order.
+    for _, parts in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+        rows = parts[0] if len(parts) == 1 else sorted(chain.from_iterable(parts))
+        if len(rows) == 1:
+            (row,) = rows
+            buckets.append(Bucket((person_ids[row],), (sensitive[row],)))
+        else:
+            pick = itemgetter(*rows)
+            buckets.append(Bucket(pick(person_ids), pick(sensitive)))
+    return Bucketization(buckets)

@@ -31,12 +31,13 @@ compare against the single-phase sweep of
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from repro.bucketization.bucketization import Bucketization
 from repro.data.table import Table
+from repro.generalization.apply import _check_attributes, _roll_up
 from repro.generalization.lattice import GeneralizationLattice, Node
 
 __all__ = ["IncognitoStats", "PhaseStats", "incognito_minimal_safe_nodes"]
@@ -73,10 +74,6 @@ class IncognitoStats:
         return self.phases[-1].evaluated if self.phases else 0
 
 
-def _project(node: Node, keep: Sequence[int]) -> Node:
-    return tuple(node[i] for i in keep)
-
-
 def incognito_minimal_safe_nodes(
     table: Table,
     lattice: GeneralizationLattice,
@@ -102,7 +99,14 @@ def incognito_minimal_safe_nodes(
         :func:`repro.generalization.search.find_minimal_safe_nodes`
         (asserted equal in the tests), usually with fewer predicate
         evaluations on the full lattice.
+
+    Raises
+    ------
+    ValueError
+        If the lattice's attributes are not exactly the table's
+        quasi-identifiers.
     """
+    _check_attributes(table, lattice)
     if stats is None:
         stats = IncognitoStats()
     attributes = lattice.attributes
@@ -121,15 +125,6 @@ def incognito_minimal_safe_nodes(
             )
             phase = PhaseStats(attributes=subset_attrs, nodes=sub_lattice.size)
             stats.phases.append(phase)
-
-            def bucketize(levels: Node) -> Bucketization:
-                def key(record: dict) -> tuple:
-                    return tuple(
-                        hierarchies[a].generalize(record[a], level)
-                        for a, level in zip(subset_attrs, levels)
-                    )
-
-                return Bucketization.from_table(table, key=key)
 
             safe_nodes: list[Node] = []
             evaluated_safe: list[Node] = []
@@ -159,7 +154,7 @@ def incognito_minimal_safe_nodes(
                         unsafe_here.add(node)
                         continue
                     phase.evaluated += 1
-                    if is_safe(bucketize(node)):
+                    if is_safe(_roll_up(table, hierarchies, subset_attrs, node)):
                         safe_nodes.append(node)
                         evaluated_safe.append(node)
                     else:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.bucketization import Bucketization
 from repro.core.safety import SafetyChecker
-from repro.errors import SearchError
+from repro.data import ADULT_SCHEMA, Schema, Table, adult_hierarchies
+from repro.errors import EmptyTableError, SearchError
 from repro.generalization.apply import bucketize_at, generalize_table
-from repro.generalization.hierarchy import SUPPRESSED
+from repro.generalization.hierarchy import SUPPRESSED, Hierarchy
+from repro.generalization.incognito import incognito_minimal_safe_nodes
+from repro.generalization.lattice import GeneralizationLattice
 from repro.generalization.search import (
     SearchStats,
     binary_search_chain,
@@ -15,6 +21,22 @@ from repro.generalization.search import (
     find_minimal_safe_nodes,
 )
 from repro.utility.metrics import precision
+
+
+def assert_identical_at_every_node(table, lattice):
+    """``bucketize_at`` equals the per-record reference bucketization of the
+    generalized table exactly: bucket order, person ids and sensitive values
+    in order, and the signature multiset."""
+    for node in lattice.nodes():
+        actual = bucketize_at(table, lattice, node)
+        expected = Bucketization.from_table(generalize_table(table, lattice, node))
+        assert [b.person_ids for b in actual] == [
+            b.person_ids for b in expected
+        ], node
+        assert [b.sensitive_values for b in actual] == [
+            b.sensitive_values for b in expected
+        ], node
+        assert actual.signature_items() == expected.signature_items(), node
 
 
 class TestApply:
@@ -36,13 +58,44 @@ class TestApply:
     def test_bucketize_at_matches_generalized_groups(
         self, small_adult, adult_lattice
     ):
-        node = (4, 2, 1, 0)
-        direct = bucketize_at(small_adult, adult_lattice, node)
-        via_table = generalize_table(small_adult, adult_lattice, node)
-        from repro.bucketization import Bucketization
+        assert_identical_at_every_node(small_adult, adult_lattice)
 
-        expected = Bucketization.from_table(via_table)
-        assert direct.partition_frozen() == expected.partition_frozen()
+    def test_bucketize_at_identical_with_identifier_column(
+        self, small_adult, adult_lattice
+    ):
+        # Shuffled rows keyed by an explicit identifier: person ids are not
+        # row indices, and row order differs from the generated order. Some
+        # one- and three-digit ages make key-repr order differ from numeric
+        # order.
+        rows = [dict(record) for record in small_adult.rows[:600]]
+        random.Random(3).shuffle(rows)
+        for i, record in enumerate(rows):
+            record["pid"] = f"person-{(i * 7919) % 1000:03d}"
+            if i % 20 == 0:
+                record["age"] = i % 9 + 1 if i % 40 else 100 + i % 7
+        schema = Schema(
+            ADULT_SCHEMA.quasi_identifiers, ADULT_SCHEMA.sensitive, identifier="pid"
+        )
+        assert_identical_at_every_node(Table(rows, schema), adult_lattice)
+
+    def test_bucketize_at_identical_on_one_row(self, small_adult, adult_lattice):
+        table = Table([small_adult[0]], ADULT_SCHEMA)
+        assert_identical_at_every_node(table, adult_lattice)
+        assert len(bucketize_at(table, adult_lattice, adult_lattice.bottom)) == 1
+
+    def test_bucketize_at_identical_with_lattice_order_unlike_schema(
+        self, small_adult
+    ):
+        # Node vectors follow the lattice's attribute order; bucket keys (and
+        # so bucket order) follow the schema's.
+        reordered = GeneralizationLattice(
+            adult_hierarchies(), tuple(reversed(ADULT_SCHEMA.quasi_identifiers))
+        )
+        assert_identical_at_every_node(small_adult.sample(500, seed=2), reordered)
+
+    def test_bucketize_at_empty_table_rejected(self, adult_lattice):
+        with pytest.raises(EmptyTableError):
+            bucketize_at(Table([], ADULT_SCHEMA), adult_lattice, adult_lattice.bottom)
 
     def test_top_node_single_bucket(self, small_adult, adult_lattice):
         b = bucketize_at(small_adult, adult_lattice, adult_lattice.top)
@@ -55,14 +108,38 @@ class TestApply:
         assert fine.refines(coarse)
 
     def test_attribute_mismatch_rejected(self, small_adult, adult_lattice):
-        from repro.generalization.lattice import GeneralizationLattice
-        from repro.generalization.hierarchy import Hierarchy
-
         other = GeneralizationLattice(
             {"height": Hierarchy.identity_or_suppress("height")}, ("height",)
         )
         with pytest.raises(ValueError):
             generalize_table(small_adult, other, (0,))
+
+    @pytest.mark.parametrize("direction", ["extra", "missing"])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            generalize_table,
+            bucketize_at,
+            lambda table, lattice, node: incognito_minimal_safe_nodes(
+                table, lattice, lambda b: True
+            ),
+        ],
+        ids=["generalize_table", "bucketize_at", "incognito"],
+    )
+    def test_lattice_must_cover_exactly_the_quasi_identifiers(
+        self, small_adult, direction, apply
+    ):
+        hierarchies = adult_hierarchies()
+        attributes = ADULT_SCHEMA.quasi_identifiers
+        if direction == "extra":
+            sensitive = ADULT_SCHEMA.sensitive
+            hierarchies[sensitive] = Hierarchy.identity_or_suppress(sensitive)
+            attributes += (sensitive,)
+        else:
+            attributes = attributes[:-1]
+        lattice = GeneralizationLattice(hierarchies, attributes)
+        with pytest.raises(ValueError, match="do not match"):
+            apply(small_adult, lattice, lattice.bottom)
 
 
 class TestMinimalSafeSearch:

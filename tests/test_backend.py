@@ -35,6 +35,7 @@ from repro.core.kernel import numpy_available
 from repro.engine import (
     CachePolicy,
     DisclosureEngine,
+    ExecutionBackend,
     PersistentBackend,
     SamplingAdversary,
     available_backends,
@@ -378,6 +379,15 @@ class TestLifecycle:
 # ---------------------------------------------------------------------------
 # 4. Honest stats (EngineStats misattribution fix)
 # ---------------------------------------------------------------------------
+class _FailingBackend(ExecutionBackend):
+    """A parallel backend that can never run a batch."""
+
+    name = "failing"
+
+    def run(self, model, plane, plane_keys, ks, *, exact, workers, kernel="auto"):
+        raise RuntimeError("backend unavailable")
+
+
 class TestStats:
     @pytest.mark.parametrize("backend", ["pool", "persistent"])
     def test_cold_parallel_batch_reports_zero_hit_rate(self, backend):
@@ -400,6 +410,36 @@ class TestStats:
     def test_parallel_hits_surfaced_in_as_dict(self):
         stats_keys = DisclosureEngine().stats.as_dict()
         assert "parallel_hits" in stats_keys
+
+    def test_failed_backend_batch_counted_as_fallback(self):
+        """A backend whose ``run`` raises leaves the answers to the serial
+        path, and the fallback is counted instead of silent."""
+        bs = _random_bucketizations(6, seed=53)
+        expected = DisclosureEngine(backend="serial").evaluate_many(bs, [1, 2])
+        engine = DisclosureEngine(workers=2, backend=_FailingBackend())
+        assert engine.stats.backend_fallbacks == 0
+        assert engine.evaluate_many(bs, [1, 2]) == expected
+        assert engine.stats.backend_fallbacks == 1
+        assert engine.stats.as_dict()["backend_fallbacks"] == 1
+        assert engine.stats.parallel_tasks == 0
+
+    @requires_numpy
+    def test_failed_lattice_prewarm_counted_as_fallback(self):
+        from repro.data.adult import ADULT_SCHEMA
+        from repro.data.hierarchies import adult_hierarchies
+        from repro.experiments.runner import default_adult_table
+        from repro.generalization.lattice import GeneralizationLattice
+
+        table = default_adult_table(150)
+        lattice = GeneralizationLattice(
+            adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+        )
+        serial = DisclosureEngine(backend="serial").find_minimal_safe_nodes(
+            table, lattice, 0.8, 2
+        )
+        engine = DisclosureEngine(workers=2, backend=_FailingBackend())
+        assert engine.find_minimal_safe_nodes(table, lattice, 0.8, 2) == serial
+        assert engine.stats.backend_fallbacks == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_vs_warm_stats_per_backend(self, backend):

@@ -125,6 +125,19 @@ class TestTable:
         assert groups[("14850", 23)] == [0, 1]
         assert groups[("14853", 30)] == [2]
 
+    def test_qi_classes_index(self, table):
+        index = table.qi_classes()
+        assert index.keys == (("14850", 23), ("14853", 30))
+        assert index.rows == ((0, 1), (2,))
+        assert index.sensitive == ("flu", "cold", "flu")
+        assert index.distinct == (("14850", "14853"), (23, 30))
+        assert table.qi_classes() is index  # built once, then cached
+
+    def test_qi_classes_of_empty_table(self, schema):
+        index = Table([], schema).qi_classes()
+        assert index.keys == index.rows == index.sensitive == ()
+        assert index.distinct == ((), ())
+
     def test_missing_attribute_rejected(self, schema):
         with pytest.raises(SchemaError):
             Table([{"zip": "1", "age": 2}], schema)
