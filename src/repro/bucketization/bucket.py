@@ -15,6 +15,7 @@ vector, exposed as :attr:`Bucket.signature` and used as a memoization key.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from typing import Any
@@ -22,6 +23,22 @@ from typing import Any
 from repro.errors import EmptyTableError
 
 __all__ = ["Bucket"]
+
+
+def _checked_signature(signature: Sequence[int]) -> tuple[int, ...]:
+    """``signature`` as a tuple of ints, or raise if no bucket has it.
+
+    A bucket's signature is a non-empty, non-increasing vector of positive
+    frequencies.
+    """
+    counts = tuple(map(operator.index, signature))
+    if not counts:
+        raise EmptyTableError("a bucket must contain at least one tuple")
+    if any(a < b for a, b in zip(counts, counts[1:])):
+        raise ValueError(f"signature must be non-increasing: {counts}")
+    if counts[-1] <= 0:
+        raise ValueError(f"signature entries must be positive: {counts}")
+    return counts
 
 
 class Bucket:
@@ -191,14 +208,19 @@ class Bucket:
         lets the signature plane rebuild an evaluation-equivalent bucket from
         an interned signature (e.g. inside a worker process).
 
+        Raises
+        ------
+        ValueError
+            If ``signature`` increases anywhere or has a non-positive entry.
+        EmptyTableError
+            If ``signature`` is empty.
+
         Examples
         --------
         >>> Bucket.from_signature((2, 1)).signature
         (2, 1)
         """
-        counts = tuple(signature)
-        if any(a < b for a, b in zip(counts, counts[1:])):
-            raise ValueError(f"signature must be non-increasing: {counts}")
+        counts = _checked_signature(signature)
         values = [
             f"s{index}" for index, count in enumerate(counts) for _ in range(count)
         ]

@@ -84,10 +84,14 @@ def bucket_negation_disclosure(
 def max_disclosure_negations(
     bucketization: Bucketization, k: int, *, exact: bool = False
 ):
-    """Worst-case disclosure of the whole bucketization for ``k`` negations."""
+    """Worst-case disclosure of the whole bucketization for ``k`` negations.
+
+    Read off the distinct bucket signatures (equal signatures give equal
+    values), so a deferred bucketization's buckets are never built.
+    """
     return max(
-        bucket_negation_disclosure(bucket, k, exact=exact)
-        for bucket in bucketization.buckets
+        bucket_negation_disclosure(signature, k, exact=exact)
+        for signature, _ in bucketization.signature_items()
     )
 
 

@@ -22,17 +22,20 @@ class QIClasses(NamedTuple):
     """A table's ground quasi-identifier equivalence classes.
 
     ``keys[j]`` is the ``j``-th distinct QI tuple (in schema order, classes
-    ordered by first row) and ``rows[j]`` its ascending row indices;
-    ``sensitive`` is the sensitive column in row order; ``distinct[i]``
-    holds the distinct values of the ``i``-th quasi-identifier, sorted by
-    ``repr``. Every coarser grouping of the rows by generalized QI values
-    is a union of these classes.
+    ordered by first row), ``rows[j]`` its ascending row indices and
+    ``counts[j]`` the multiplicity of each sensitive value among those rows
+    (shared; must not be mutated); ``sensitive`` is the sensitive column in
+    row order; ``distinct[i]`` holds the distinct values of the ``i``-th
+    quasi-identifier, sorted by ``repr``. Every coarser grouping of the rows
+    by generalized QI values is a union of these classes, and its sensitive
+    counts are the sums of theirs.
     """
 
     keys: tuple[tuple, ...]
     rows: tuple[tuple[int, ...], ...]
     sensitive: tuple[Any, ...]
     distinct: tuple[tuple[Any, ...], ...]
+    counts: tuple[Counter, ...]
 
 
 class Table:
@@ -202,11 +205,16 @@ class Table:
                 tuple(sorted({key[i] for key in groups}, key=repr))
                 for i in range(len(self._schema.quasi_identifiers))
             )
+            sensitive = self.sensitive_values()
+            counts = tuple(
+                Counter(map(sensitive.__getitem__, rows)) for rows in groups.values()
+            )
             index = QIClasses(
                 tuple(groups),
                 tuple(map(tuple, groups.values())),
-                self.sensitive_values(),
+                sensitive,
                 distinct,
+                counts,
             )
             self._qi_classes = index
         return index

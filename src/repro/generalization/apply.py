@@ -14,10 +14,26 @@ generalized key. That index is built lazily, on the first bucketization of a
 table; it costs O(rows) memory, held for as long as the table lives; and
 caching it is sound only because :class:`~repro.data.table.Table` is
 immutable.
+
+The paper's worst-case algorithms see a bucketization only through its
+bucket signatures, so the roll-up computes exactly that up front: each
+bucket's sensitive counts are the sums of its classes' counts, which the
+index records. The returned bucketization is *deferred*: its per-person
+buckets and person -> bucket map are built the first time a caller reads a
+bucket (iterating, indexing, ``len``, ``buckets``, ``bucket_of``, equality,
+...), never for ``signature_items()``, so an implication, negation or
+distribution check builds none. The build yields the per-record-identical
+buckets, then runs the constructor's validation and a check that the built
+buckets' signature multiset equals the one computed up front.
+Threads racing to build each produce equal state, as with
+:meth:`Table.qi_classes <repro.data.table.Table.qi_classes>`. Until it is
+built, a deferred bucketization keeps its node's grouping of the classes
+(O(classes)) plus references to the table's person ids and class index.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from itertools import chain
 from operator import itemgetter
@@ -66,6 +82,12 @@ def bucketize_at(
     for as long as the table lives (O(rows) memory); caching it is sound only
     because a :class:`~repro.data.table.Table` is immutable.
 
+    Only the signature multiset is computed here. The buckets are built on
+    the first read of a bucket, with the constructor's validation and a
+    check against that multiset; until then the result holds the node's
+    grouping of the table's QI classes. Concurrent first reads are safe:
+    each builds equal state. See the module docstring.
+
     Raises
     ------
     ValueError
@@ -95,7 +117,11 @@ def _roll_up(
     """Group ``table``'s rows by their QIs in ``attributes`` generalized to
     ``levels``, keyed in ``attributes`` order — the same bucketization as
     ``Bucketization.from_table`` with that per-record key, built from the
-    table's QI classes instead of its rows."""
+    table's QI classes instead of its rows.
+
+    The signature multiset comes from summing the classes' sensitive counts
+    per generalized key; the buckets are deferred until a caller reads one.
+    """
     table.require_nonempty()
     index = table.qi_classes()
     qi = table.schema.quasi_identifiers
@@ -114,20 +140,40 @@ def _roll_up(
             for mapping, position in zip(mappings, positions)
         ]
     )
-    groups: dict[tuple, list[tuple[int, ...]]] = {}
-    for key, rows in zip(keys, index.rows):
-        groups.setdefault(key, []).append(rows)
-    person_ids, sensitive = table.person_ids, index.sensitive
-    buckets = []
-    # Bucket order and in-bucket row order match the per-record grouping:
-    # groups are sorted by key repr (stably, in first-row order), and each
-    # group's classes are re-sorted into ascending row order.
-    for _, parts in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-        rows = parts[0] if len(parts) == 1 else sorted(chain.from_iterable(parts))
-        if len(rows) == 1:
-            (row,) = rows
-            buckets.append(Bucket((person_ids[row],), (sensitive[row],)))
+    groups: dict[tuple, list[int]] = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    class_counts = index.counts
+    signatures: Counter = Counter()
+    for parts in groups.values():
+        if len(parts) == 1:
+            counts = class_counts[parts[0]]
         else:
-            pick = itemgetter(*rows)
-            buckets.append(Bucket(pick(person_ids), pick(sensitive)))
-    return Bucketization(buckets)
+            counts = {}
+            for j in parts:
+                for value, n in class_counts[j].items():
+                    counts[value] = counts.get(value, 0) + n
+        signatures[tuple(sorted(counts.values(), reverse=True))] += 1
+    person_ids, sensitive, class_rows = table.person_ids, index.sensitive, index.rows
+
+    def build() -> list[Bucket]:
+        buckets = []
+        # Bucket order and in-bucket row order match the per-record
+        # grouping: groups are sorted by key repr (stably, in first-row
+        # order), and each group's classes are re-sorted into ascending row
+        # order.
+        for _, parts in sorted(groups.items(), key=lambda kv: repr(kv[0])):
+            rows = (
+                class_rows[parts[0]]
+                if len(parts) == 1
+                else sorted(chain.from_iterable(map(class_rows.__getitem__, parts)))
+            )
+            if len(rows) == 1:
+                (row,) = rows
+                buckets.append(Bucket((person_ids[row],), (sensitive[row],)))
+            else:
+                pick = itemgetter(*rows)
+                buckets.append(Bucket(pick(person_ids), pick(sensitive)))
+        return buckets
+
+    return Bucketization._deferred(tuple(sorted(signatures.items())), build)

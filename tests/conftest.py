@@ -78,3 +78,18 @@ def small_adult():
     from repro.data.adult import generate_adult
 
     return generate_adult(1500, seed=7)
+
+
+@pytest.fixture
+def bucket_builds(monkeypatch) -> list[int]:
+    """A one-item list counting the :class:`Bucket` objects built while the
+    test runs, in this process."""
+    count = [0]
+    original = Bucket.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bucket, "__init__", counting)
+    return count

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from repro.bucketization import Bucketization
 from repro.core.safety import SafetyChecker
 from repro.data import ADULT_SCHEMA, Schema, Table, adult_hierarchies
+from repro.engine import DisclosureEngine, get_adversary
 from repro.errors import EmptyTableError, SearchError
-from repro.generalization.apply import bucketize_at, generalize_table
+from repro.generalization.apply import _roll_up, bucketize_at, generalize_table
 from repro.generalization.hierarchy import SUPPRESSED, Hierarchy
 from repro.generalization.incognito import incognito_minimal_safe_nodes
 from repro.generalization.lattice import GeneralizationLattice
@@ -23,20 +25,29 @@ from repro.generalization.search import (
 from repro.utility.metrics import precision
 
 
-def assert_identical_at_every_node(table, lattice):
+def assert_identical(actual, expected, bucket_builds, node):
+    """A fresh roll-up equals its per-record reference exactly. The
+    signature multiset it computed up front is checked first, while no bucket
+    is built; then bucket order, person ids and sensitive values in order."""
+    assert bucket_builds[0] == 0, node
+    assert actual.signature_items() == expected.signature_items(), node
+    assert bucket_builds[0] == 0, node
+    assert [b.person_ids for b in actual] == [b.person_ids for b in expected], node
+    assert [b.sensitive_values for b in actual] == [
+        b.sensitive_values for b in expected
+    ], node
+    assert actual == expected and expected == actual, node
+
+
+def assert_identical_at_every_node(table, lattice, bucket_builds):
     """``bucketize_at`` equals the per-record reference bucketization of the
-    generalized table exactly: bucket order, person ids and sensitive values
-    in order, and the signature multiset."""
+    generalized table at every node (see :func:`assert_identical`)."""
     for node in lattice.nodes():
-        actual = bucketize_at(table, lattice, node)
         expected = Bucketization.from_table(generalize_table(table, lattice, node))
-        assert [b.person_ids for b in actual] == [
-            b.person_ids for b in expected
-        ], node
-        assert [b.sensitive_values for b in actual] == [
-            b.sensitive_values for b in expected
-        ], node
-        assert actual.signature_items() == expected.signature_items(), node
+        bucket_builds[0] = 0
+        assert_identical(
+            bucketize_at(table, lattice, node), expected, bucket_builds, node
+        )
 
 
 class TestApply:
@@ -56,12 +67,12 @@ class TestApply:
         assert generalized.sensitive_values() == small_adult.sensitive_values()
 
     def test_bucketize_at_matches_generalized_groups(
-        self, small_adult, adult_lattice
+        self, small_adult, adult_lattice, bucket_builds
     ):
-        assert_identical_at_every_node(small_adult, adult_lattice)
+        assert_identical_at_every_node(small_adult, adult_lattice, bucket_builds)
 
     def test_bucketize_at_identical_with_identifier_column(
-        self, small_adult, adult_lattice
+        self, small_adult, adult_lattice, bucket_builds
     ):
         # Shuffled rows keyed by an explicit identifier: person ids are not
         # row indices, and row order differs from the generated order. Some
@@ -76,22 +87,54 @@ class TestApply:
         schema = Schema(
             ADULT_SCHEMA.quasi_identifiers, ADULT_SCHEMA.sensitive, identifier="pid"
         )
-        assert_identical_at_every_node(Table(rows, schema), adult_lattice)
+        assert_identical_at_every_node(
+            Table(rows, schema), adult_lattice, bucket_builds
+        )
 
-    def test_bucketize_at_identical_on_one_row(self, small_adult, adult_lattice):
+    def test_bucketize_at_identical_on_one_row(
+        self, small_adult, adult_lattice, bucket_builds
+    ):
         table = Table([small_adult[0]], ADULT_SCHEMA)
-        assert_identical_at_every_node(table, adult_lattice)
+        assert_identical_at_every_node(table, adult_lattice, bucket_builds)
         assert len(bucketize_at(table, adult_lattice, adult_lattice.bottom)) == 1
 
     def test_bucketize_at_identical_with_lattice_order_unlike_schema(
-        self, small_adult
+        self, small_adult, bucket_builds
     ):
         # Node vectors follow the lattice's attribute order; bucket keys (and
         # so bucket order) follow the schema's.
         reordered = GeneralizationLattice(
             adult_hierarchies(), tuple(reversed(ADULT_SCHEMA.quasi_identifiers))
         )
-        assert_identical_at_every_node(small_adult.sample(500, seed=2), reordered)
+        assert_identical_at_every_node(
+            small_adult.sample(500, seed=2), reordered, bucket_builds
+        )
+
+    def test_incognito_subset_roll_up_identical(
+        self, small_adult, adult_lattice, bucket_builds
+    ):
+        # Incognito rolls up attribute subsets, keyed in subset order; the
+        # reference groups rows by that per-record key.
+        table = small_adult.sample(400, seed=5)
+        attributes = adult_lattice.attributes
+        hierarchies = adult_lattice.hierarchies
+        for size in range(1, len(attributes) + 1):
+            for subset in combinations(attributes, size):
+                sub_lattice = GeneralizationLattice(
+                    {a: hierarchies[a] for a in subset}, subset
+                )
+                for node in sub_lattice.nodes():
+
+                    def key(record, subset=subset, node=node):
+                        return tuple(
+                            hierarchies[a].generalize(record[a], level)
+                            for a, level in zip(subset, node)
+                        )
+
+                    expected = Bucketization.from_table(table, key=key)
+                    bucket_builds[0] = 0
+                    actual = _roll_up(table, hierarchies, subset, node)
+                    assert_identical(actual, expected, bucket_builds, (subset, node))
 
     def test_bucketize_at_empty_table_rejected(self, adult_lattice):
         with pytest.raises(EmptyTableError):
@@ -140,6 +183,61 @@ class TestApply:
         lattice = GeneralizationLattice(hierarchies, attributes)
         with pytest.raises(ValueError, match="do not match"):
             apply(small_adult, lattice, lattice.bottom)
+
+
+class TestSweepBuildsBucketsOnlyOnDemand:
+    """An engine sweep under a signature-decomposable model reads only each
+    node's signature multiset; a model that reads buckets builds them and
+    answers as on the per-record reference bucketizations."""
+
+    @staticmethod
+    def sweep(table, lattice, c, k, model, bucketizations=None):
+        predicate = DisclosureEngine().node_predicate(
+            table, lattice, c, k, model=model, bucketizations=bucketizations
+        )
+        stats = SearchStats()
+        minimal = find_minimal_safe_nodes(lattice, predicate, stats=stats)
+        return minimal, stats
+
+    @staticmethod
+    def references(table, lattice):
+        return {
+            node: Bucketization.from_table(generalize_table(table, lattice, node))
+            for node in lattice.nodes()
+        }
+
+    @pytest.mark.parametrize("model", ["implication", "negation", "distribution"])
+    def test_signature_models_build_no_bucket(
+        self, small_adult, adult_lattice, bucket_builds, model
+    ):
+        minimal, stats = self.sweep(small_adult, adult_lattice, 0.7, 2, model)
+        assert bucket_builds[0] == 0
+        assert stats.predicate_checks > 1 and minimal
+        expected, _ = self.sweep(
+            small_adult,
+            adult_lattice,
+            0.7,
+            2,
+            model,
+            self.references(small_adult, adult_lattice),
+        )
+        assert minimal == expected
+
+    def test_sampling_builds_buckets_with_unchanged_answers(
+        self, small_adult, adult_lattice, bucket_builds
+    ):
+        table = small_adult.sample(300, seed=11)
+        model = get_adversary("sampling", samples=50, seed=4)
+        minimal, _ = self.sweep(table, adult_lattice, 0.7, 1, model)
+        assert bucket_builds[0] > 0
+        references = self.references(table, adult_lattice)
+        expected, _ = self.sweep(table, adult_lattice, 0.7, 1, model, dict(references))
+        assert minimal == expected
+        engine, reference_engine = DisclosureEngine(), DisclosureEngine()
+        for node, reference in references.items():
+            assert engine.evaluate(
+                bucketize_at(table, adult_lattice, node), 1, model=model
+            ) == reference_engine.evaluate(reference, 1, model=model), node
 
 
 class TestMinimalSafeSearch:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import pickle
+import sys
+import threading
+import time
 
 import pytest
 
@@ -129,3 +133,100 @@ class TestBucketization:
         a = Bucketization([Bucket([0], ["x"]), Bucket([1], ["y"])])
         b = Bucketization([Bucket([1], ["y"]), Bucket([0], ["x"])])
         assert a == b
+
+    def test_equality_needs_equal_partitions(self):
+        a = Bucketization([Bucket([0, 1], ["x", "x"]), Bucket([2], ["y"])])
+        b = Bucketization([Bucket([0, 2], ["x", "x"]), Bucket([1], ["y"])])
+        assert a != b
+        assert a != Bucketization.from_value_lists([["x", "x"], ["y"], ["z"]])
+
+    def test_equality_needs_equal_bucket_values(self):
+        # Same partition and same signature multiset; two values swapped
+        # between the buckets.
+        a = Bucketization([Bucket([0, 1], ["x", "y"]), Bucket([2, 3], ["z", "w"])])
+        b = Bucketization([Bucket([0, 1], ["x", "z"]), Bucket([2, 3], ["y", "w"])])
+        assert a.partition_frozen() == b.partition_frozen()
+        assert a.signature_items() == b.signature_items()
+        assert a != b
+
+    def test_deferred_equals_eager_reference(self):
+        deferred = Bucketization.from_signature_counts({(2, 1): 1, (1,): 2})
+        eager = Bucketization(
+            [
+                Bucket.from_signature((1,)),
+                Bucket.from_signature((1,), start_id=1),
+                Bucket.from_signature((2, 1), start_id=2),
+            ]
+        )
+        assert deferred == eager
+        assert eager == deferred
+
+    def test_equality_is_linear_in_bucket_size(self):
+        n = 20_000
+        values = [f"v{i % 7}" for i in range(n)]
+        a = Bucketization([Bucket(range(n), values)])
+        b = Bucketization([Bucket(reversed(range(n)), reversed(values))])
+        start = time.perf_counter()
+        assert a == b
+        assert time.perf_counter() - start < 1.0
+
+
+class TestDeferredBuild:
+    """Bucketizations from ``from_signature_counts`` (and lattice roll-ups,
+    see ``test_apply_search.py``) build their buckets on first read."""
+
+    def test_signature_items_build_nothing(self, bucket_builds):
+        b = Bucketization.from_signature_counts({(2, 1): 2, (1,): 1})
+        assert b.signature_items() == (((1,), 1), ((2, 1), 2))
+        assert b.signature_multiset() == {(1,): 1, (2, 1): 2}
+        assert bucket_builds[0] == 0
+        assert [bucket.person_ids for bucket in b] == [
+            (0,),
+            (1, 2, 3),
+            (4, 5, 6),
+        ]
+        assert bucket_builds[0] == 3
+        assert len(b) == 3 and b.bucket_index_of(5) == 2 and b.total_size == 7
+        assert bucket_builds[0] == 3  # built once
+
+    def test_duplicate_signature_pairs_merge(self):
+        b = Bucketization.from_signature_counts([((2, 1), 1), ((2, 1), 2)])
+        assert b.signature_items() == (((2, 1), 3),)
+        assert [bucket.signature for bucket in b] == [(2, 1)] * 3
+        assert b.person_ids == tuple(range(9))
+
+    def test_pickle_round_trip_builds(self):
+        b = Bucketization.from_signature_counts({(3, 1): 2})
+        clone = pickle.loads(pickle.dumps(b))
+        assert clone == b
+        assert clone.signature_items() == b.signature_items()
+
+    def test_racing_threads_build_equal_state(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                b = Bucketization.from_signature_counts({(3, 2, 1): 40, (1,): 30})
+                barrier = threading.Barrier(8)
+                seen: list = []
+                errors: list = []
+
+                def read(b=b, barrier=barrier, seen=seen, errors=errors):
+                    try:
+                        barrier.wait(timeout=10)
+                        seen.append((len(b), b.bucket_index_of(35), b.buckets))
+                    except Exception as exc:  # recorded, asserted below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert len(seen) == 8
+                assert all(entry == seen[0] for entry in seen)
+                assert seen[0][:2] == (70, 30)
+        finally:
+            sys.setswitchinterval(interval)

@@ -16,6 +16,7 @@ from repro.core.negation import (
     max_disclosure_negations_series,
     negation_witness,
 )
+from repro.generalization.apply import bucketize_at, generalize_table
 
 
 class TestClosedFormAgainstBruteForce:
@@ -118,3 +119,28 @@ class TestWitness:
             assert witness.disclosure == max_disclosure_negations(
                 figure3, k, exact=True
             )
+
+
+class TestSignatureMaximum:
+    """The maximum over distinct signatures equals the per-bucket maximum
+    it replaced, bit for bit in float and exactly in exact mode."""
+
+    def test_matches_per_bucket_maximum(self, small_adult, adult_lattice):
+        ks = range(6)
+        for node in adult_lattice.nodes():
+            deferred = bucketize_at(small_adult, adult_lattice, node)
+            buckets = Bucketization.from_table(
+                generalize_table(small_adult, adult_lattice, node)
+            ).buckets
+            for exact in (False, True):
+                series = max_disclosure_negations_series(deferred, ks, exact=exact)
+                for k in ks:
+                    expected = max(
+                        bucket_negation_disclosure(bucket, k, exact=exact)
+                        for bucket in buckets
+                    )
+                    value = max_disclosure_negations(deferred, k, exact=exact)
+                    assert type(value) is type(expected), (node, k)
+                    assert value == expected and series[k] == expected, (node, k)
+                    if not exact:
+                        assert value.hex() == expected.hex(), (node, k)

@@ -33,6 +33,7 @@ from repro.engine import (
     get_adversary,
 )
 from repro.core.kernel import numpy_available
+from repro.errors import EmptyTableError
 from repro.experiments.fig6 import run_figure6
 from repro.experiments.runner import default_adult_table
 
@@ -118,6 +119,26 @@ class TestSignaturePlane:
     def test_from_signature_counts_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Bucketization.from_signature_counts({(2, 1): 0})
+
+    @pytest.mark.parametrize(
+        "counts, error",
+        [
+            ({(2, 0): 1}, ValueError),  # non-positive entries
+            ({(2, -1): 1}, ValueError),
+            ({(0,): 1}, ValueError),
+            ({(1, 2): 1}, ValueError),  # increasing
+            ({(2, 1): -1}, ValueError),  # negative multiplicity
+            ({(): 1}, EmptyTableError),  # empty signature
+            ({}, EmptyTableError),  # empty mapping
+            ([], EmptyTableError),
+        ],
+    )
+    def test_from_signature_counts_validates_before_deferring(
+        self, counts, error, bucket_builds
+    ):
+        with pytest.raises(error):
+            Bucketization.from_signature_counts(counts)
+        assert bucket_builds[0] == 0
 
 
 class TestSignaturesSince:

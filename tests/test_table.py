@@ -131,11 +131,12 @@ class TestTable:
         assert index.rows == ((0, 1), (2,))
         assert index.sensitive == ("flu", "cold", "flu")
         assert index.distinct == (("14850", "14853"), (23, 30))
+        assert index.counts == ({"flu": 1, "cold": 1}, {"flu": 1})
         assert table.qi_classes() is index  # built once, then cached
 
     def test_qi_classes_of_empty_table(self, schema):
         index = Table([], schema).qi_classes()
-        assert index.keys == index.rows == index.sensitive == ()
+        assert index.keys == index.rows == index.sensitive == index.counts == ()
         assert index.distinct == ((), ())
 
     def test_missing_attribute_rejected(self, schema):
