@@ -167,10 +167,10 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         choices=KERNELS,
         default="auto",
         help=(
-            "MINIMIZE1/MINIMIZE2 kernel for the float path: 'numpy' is the "
-            "vectorized kernel (bit-identical to 'scalar'), 'auto' picks it "
-            "when numpy is installed; exact mode always runs scalar "
-            "(default auto)"
+            "MINIMIZE1/MINIMIZE2 kernel for the float path: 'numpy' "
+            "vectorizes MINIMIZE1 and runs MINIMIZE2 as a plain float loop "
+            "(bit-identical to 'scalar'), 'auto' picks it when numpy is "
+            "installed; exact mode always runs scalar (default auto)"
         ),
     )
 

@@ -1,22 +1,26 @@
-"""Vectorized float-mode kernel for the MINIMIZE1/MINIMIZE2 hot path.
+"""Float-mode kernel for the MINIMIZE1/MINIMIZE2 hot path.
 
 Every disclosure query bottoms out in the paper's ``O(|B| k^3)``
-MINIMIZE1/MINIMIZE2 dynamic programs. This module batches those DPs over
-numpy arrays:
+MINIMIZE1/MINIMIZE2 dynamic programs. This module runs them faster than
+the scalar reference loops:
 
-- :func:`minimize1_tables` runs MINIMIZE1's ``(i, cap, rem)`` recursion as
-  one layered array pass over **all** distinct signatures in a batch at
-  once, instead of one memoized Python recursion per signature.
-- :func:`min_ratio_backward` runs MINIMIZE2's backward ``fa``/``ff``
-  recurrence as ``(width,)``-shaped array updates per bucket position, with
-  :data:`~repro.core.minimize1.INFEASIBLE` kept as ``+inf`` so the scalar
-  ``_times`` absorbing product becomes masked array arithmetic.
+- :func:`minimize1_tables` (vectorized, numpy) runs MINIMIZE1's
+  ``(i, cap, rem)`` recursion as one layered array pass over **all**
+  distinct signatures in a batch at once, instead of one memoized Python
+  recursion per signature.
+- :func:`min_ratio_backward` (a plain float loop, no numpy) runs MINIMIZE2's
+  backward ``fa``/``ff`` recurrence, doing each bucket's three
+  min-convolutions in one pass over ``(h, m)`` and skipping a product with
+  an :data:`~repro.core.minimize1.INFEASIBLE` operand inline, where the
+  scalar loop calls ``_times``. Its vectors are only ``max_k + 1`` wide,
+  too short for numpy's per-call overhead to pay off.
 
 Both functions reproduce the scalar float path **bit-for-bit**: the same
 int->float64 divisions, the same multiplication pairs, and mins over the
 same candidate sets (a min over identical floats is order-independent).
 The one numpy-specific hazard — ``0.0 * inf == nan`` where the scalar code
-short-circuits — is masked explicitly before the product is consumed.
+short-circuits — is masked explicitly in :func:`minimize1_tables` before
+the product is consumed.
 
 numpy is an *optional* dependency (the ``repro[fast]`` extra).
 :func:`resolve_kernel` maps the user-facing ``kernel={auto,numpy,scalar}``
@@ -64,7 +68,7 @@ def _numpy():
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized kernel can run in this environment."""
+    """Whether the vectorized MINIMIZE1 kernel can run in this environment."""
     return _numpy() is not None
 
 
@@ -191,37 +195,45 @@ def min_ratio_backward(
     builds *before* reversal: the boundary pair first, then one
     ``(fa, ff)`` pair per bucket processed back-to-front, as plain Python
     float lists so witness reconstruction walks them unchanged.
+
+    A plain float loop that needs no numpy: a bucket's vectors are only
+    ``max_k + 1`` wide, too short for array calls to pay for their
+    overhead. One pass over ``(h, m)`` does a bucket's three
+    min-convolutions, and a product with an infeasible ``prev`` entry is
+    skipped inline (MINIMIZE1 values are always finite, so only ``prev``
+    can carry infeasible). Each product and minimum is one the scalar
+    ``_times`` loop takes, so values are bit-identical to it. That loop
+    stays the reference, and runs for exact mode and ``kernel="scalar"``.
     """
-    np = _numpy()
-    if np is None:  # pragma: no cover - callers gate on resolve_kernel
-        raise RuntimeError("numpy kernel requested but numpy is unavailable")
+    inf = float("inf")
     width = max_k + 1
-    inf = np.inf
-    fa = np.full(width, inf)
-    fa[0] = 1.0
-    ff = np.full(width, inf)
-    after: list[tuple[list[float], list[float]]] = [(fa.tolist(), ff.tolist())]
-
-    m_idx = np.arange(width)[:, None]
-    h_idx = np.arange(width)[None, :]
-    valid = m_idx <= h_idx
-    shift = np.where(valid, h_idx - m_idx, 0)
-
-    def conv_min(vec, prev):
-        # out[h] = min_{m <= h} _times(vec[m], prev[h - m]); MINIMIZE1
-        # values are always finite, so only ``prev`` can carry infeasible.
-        prev_m = prev[shift]
-        with np.errstate(invalid="ignore"):
-            prod = vec[:, None] * prev_m
-        prod = np.where(np.isinf(prev_m), inf, prod)
-        prod = np.where(valid, prod, inf)
-        return prod.min(axis=0)
-
+    fa = [1.0] + [inf] * max_k
+    ff = [inf] * width
+    after: list[tuple[list[float], list[float]]] = [(fa, ff)]
     for table, boost in zip(reversed(tables), reversed(boosts)):
-        g = np.asarray(table[:width], dtype=np.float64)
-        ghat = np.asarray(table[1 : width + 1], dtype=np.float64) * boost
-        new_fa = conv_min(g, fa)
-        new_ff = np.minimum(conv_min(g, ff), conv_min(ghat, fa))
+        g = table[:width]
+        ghat = [value * boost for value in table[1 : width + 1]]
+        new_fa: list[float] = []
+        new_ff: list[float] = []
+        for h in range(width):
+            best_fa = best_ff = inf
+            # m = 0..h pairs with prev[h - m] = prev[h], ..., prev[0].
+            for gm, ghat_m, prev_fa, prev_ff in zip(
+                g, ghat, fa[h::-1], ff[h::-1]
+            ):
+                if prev_fa != inf:
+                    product = gm * prev_fa
+                    if product < best_fa:
+                        best_fa = product
+                    product = ghat_m * prev_fa
+                    if product < best_ff:
+                        best_ff = product
+                if prev_ff != inf:
+                    product = gm * prev_ff
+                    if product < best_ff:
+                        best_ff = product
+            new_fa.append(best_fa)
+            new_ff.append(best_ff)
         fa, ff = new_fa, new_ff
-        after.append((fa.tolist(), ff.tolist()))
+        after.append((fa, ff))
     return after

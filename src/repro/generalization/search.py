@@ -52,6 +52,19 @@ def node_safety_predicate(
     model and shares the engine's signature-plane cache across nodes), but
     a bare lambda works too.
 
+    The predicate bucketizes each node with
+    :func:`~repro.generalization.apply.bucketize_at` and a grouping memo of
+    its own, so a node is rolled up from an already-checked child's groups
+    (one level lower on one attribute) instead of from the table's ground QI
+    classes. In a bottom-up sweep (:func:`find_minimal_safe_nodes`) only the
+    bottom node reads the ground classes; a node with no checked child, as
+    on the chain of :func:`binary_search_chain`, or whose step from every
+    checked child is not a function on the table's values, falls back to
+    them. Answers do not depend on the memo. The predicate keeps it alive:
+    the groupings of the last two heights checked (O(table QI classes)
+    each) and one label map per attribute and level, until the predicate
+    itself is freed.
+
     Parameters
     ----------
     node_memo:
@@ -79,7 +92,9 @@ def node_safety_predicate(
     SafetyChecker(0.7, 3, model="negation")))`` finds the minimal nodes safe
     against the ℓ-diversity adversary.
     """
-    from repro.generalization.apply import bucketize_at
+    from repro.generalization.apply import _NodeGroupings, bucketize_at
+
+    memo = _NodeGroupings()
 
     def is_safe(node: Node) -> bool:
         if node_memo is not None:
@@ -90,7 +105,7 @@ def node_safety_predicate(
             bucketizations.pop(node, None) if bucketizations is not None else None
         )
         if bucketization is None:
-            bucketization = bucketize_at(table, lattice, node)
+            bucketization = bucketize_at(table, lattice, node, memo=memo)
         if signature_memo is not None:
             signature_key = bucketization.signature_items()
             result = signature_memo.get(signature_key)

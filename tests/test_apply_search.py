@@ -12,6 +12,7 @@ from repro.core.safety import SafetyChecker
 from repro.data import ADULT_SCHEMA, Schema, Table, adult_hierarchies
 from repro.engine import DisclosureEngine, get_adversary
 from repro.errors import EmptyTableError, SearchError
+from repro.generalization import apply
 from repro.generalization.apply import _roll_up, bucketize_at, generalize_table
 from repro.generalization.hierarchy import SUPPRESSED, Hierarchy
 from repro.generalization.incognito import incognito_minimal_safe_nodes
@@ -21,6 +22,7 @@ from repro.generalization.search import (
     binary_search_chain,
     find_best_safe_node,
     find_minimal_safe_nodes,
+    node_safety_predicate,
 )
 from repro.utility.metrics import precision
 
@@ -50,6 +52,132 @@ def assert_identical_at_every_node(table, lattice, bucket_builds):
         )
 
 
+def assert_sweep_identical(table, lattice, bucket_builds, monkeypatch):
+    """A ``node_safety_predicate`` sweep over every node, bottom-up, hands
+    its checker at each node a bucketization identical to the node's
+    per-record reference (see :func:`assert_identical`). Returns the nodes
+    whose grouping started from the table's ground QI classes, as levels in
+    schema order."""
+    ground_nodes = []
+    ground_grouping = apply._ground_grouping
+
+    def counted(table, hierarchies, attributes, levels):
+        ground_nodes.append(tuple(levels))
+        return ground_grouping(table, hierarchies, attributes, levels)
+
+    monkeypatch.setattr(apply, "_ground_grouping", counted)
+    checked = []
+    stats = SearchStats()
+    # The checker never says safe, so nothing is pruned: every node is checked.
+    predicate = node_safety_predicate(table, lattice, checked.append)
+    assert find_minimal_safe_nodes(lattice, predicate, stats=stats) == []
+    assert len(checked) == lattice.size
+    for node, actual in zip(stats.checked_nodes, checked):
+        expected = Bucketization.from_table(generalize_table(table, lattice, node))
+        bucket_builds[0] = 0
+        assert_identical(actual, expected, bucket_builds, node)
+    return ground_nodes
+
+
+def shuffled_identifier_table(small_adult):
+    """Shuffled rows keyed by an explicit identifier: person ids are not row
+    indices, and row order differs from the generated order. Some one- and
+    three-digit ages make key-repr order differ from numeric order."""
+    rows = [dict(record) for record in small_adult.rows[:600]]
+    random.Random(3).shuffle(rows)
+    for i, record in enumerate(rows):
+        record["pid"] = f"person-{(i * 7919) % 1000:03d}"
+        if i % 20 == 0:
+            record["age"] = i % 9 + 1 if i % 40 else 100 + i % 7
+    schema = Schema(
+        ADULT_SCHEMA.quasi_identifiers, ADULT_SCHEMA.sensitive, identifier="pid"
+    )
+    return Table(rows, schema)
+
+
+class TestSweepRollsUpFromChildren:
+    """Within a predicate's sweep, every node but the bottom one is rolled up
+    from an already-checked child's groups, identically to the reference."""
+
+    def test_small_adult(self, small_adult, adult_lattice, bucket_builds, monkeypatch):
+        ground = assert_sweep_identical(
+            small_adult, adult_lattice, bucket_builds, monkeypatch
+        )
+        assert ground == [adult_lattice.bottom]
+
+    def test_shuffled_identifier_table(
+        self, small_adult, adult_lattice, bucket_builds, monkeypatch
+    ):
+        ground = assert_sweep_identical(
+            shuffled_identifier_table(small_adult),
+            adult_lattice,
+            bucket_builds,
+            monkeypatch,
+        )
+        assert ground == [adult_lattice.bottom]
+
+    def test_one_row(self, small_adult, adult_lattice, bucket_builds, monkeypatch):
+        table = Table([small_adult[0]], ADULT_SCHEMA)
+        ground = assert_sweep_identical(
+            table, adult_lattice, bucket_builds, monkeypatch
+        )
+        assert ground == [adult_lattice.bottom]
+
+    def test_lattice_order_unlike_schema(
+        self, small_adult, bucket_builds, monkeypatch
+    ):
+        reordered = GeneralizationLattice(
+            adult_hierarchies(), tuple(reversed(ADULT_SCHEMA.quasi_identifiers))
+        )
+        ground = assert_sweep_identical(
+            small_adult.sample(500, seed=2), reordered, bucket_builds, monkeypatch
+        )
+        assert ground == [(0, 0, 0, 0)]
+
+    def test_hierarchy_breaking_refinement(
+        self, small_adult, bucket_builds, monkeypatch
+    ):
+        # Age level 1 (decade) does not determine level 2 (parity of the
+        # half-decade): no roll-up may cross that step. Node (2, 0, 0, 0)
+        # has no other child, so it falls back to the ground classes; every
+        # other age-level-2 node rolls up along another attribute.
+        hierarchies = adult_hierarchies()
+        hierarchies["age"] = Hierarchy(
+            "age",
+            [
+                lambda v: v,
+                lambda v: v // 10,
+                lambda v: (v // 5) % 2,
+                lambda v: SUPPRESSED,
+            ],
+        )
+        lattice = GeneralizationLattice(hierarchies, ADULT_SCHEMA.quasi_identifiers)
+        ground = assert_sweep_identical(
+            small_adult.sample(300, seed=4), lattice, bucket_builds, monkeypatch
+        )
+        assert ground == [lattice.bottom, (2, 0, 0, 0)]
+
+    def test_binary_search_chain(self, small_adult, adult_lattice):
+        # Chain nodes are checked out of height order, mostly without a
+        # checked child.
+        checker = SafetyChecker(0.75, 2)
+        chain = adult_lattice.default_chain()
+
+        def reference(node):
+            return checker.is_safe(
+                Bucketization.from_table(
+                    generalize_table(small_adult, adult_lattice, node)
+                )
+            )
+
+        expected = binary_search_chain(chain, reference)
+        assert 0 < chain.index(expected) < len(chain) - 1
+        found = binary_search_chain(
+            chain, node_safety_predicate(small_adult, adult_lattice, checker)
+        )
+        assert found == expected
+
+
 class TestApply:
     def test_generalize_table(self, small_adult, adult_lattice):
         node = (3, 1, 1, 0)
@@ -74,21 +202,8 @@ class TestApply:
     def test_bucketize_at_identical_with_identifier_column(
         self, small_adult, adult_lattice, bucket_builds
     ):
-        # Shuffled rows keyed by an explicit identifier: person ids are not
-        # row indices, and row order differs from the generated order. Some
-        # one- and three-digit ages make key-repr order differ from numeric
-        # order.
-        rows = [dict(record) for record in small_adult.rows[:600]]
-        random.Random(3).shuffle(rows)
-        for i, record in enumerate(rows):
-            record["pid"] = f"person-{(i * 7919) % 1000:03d}"
-            if i % 20 == 0:
-                record["age"] = i % 9 + 1 if i % 40 else 100 + i % 7
-        schema = Schema(
-            ADULT_SCHEMA.quasi_identifiers, ADULT_SCHEMA.sensitive, identifier="pid"
-        )
         assert_identical_at_every_node(
-            Table(rows, schema), adult_lattice, bucket_builds
+            shuffled_identifier_table(small_adult), adult_lattice, bucket_builds
         )
 
     def test_bucketize_at_identical_on_one_row(

@@ -6,7 +6,9 @@ The acceptance claims for :mod:`repro.core.kernel`:
    MINIMIZE2 paths return *bit-identical* floats to the scalar float path
    on random signature multisets — including singleton buckets, ``k = 0``
    and ``m > n_b`` infeasible placements — the same style of proof
-   ``test_backend.py`` gives for serial == persistent.
+   ``test_backend.py`` gives for serial == persistent. MINIMIZE2's backward
+   pass, a plain float loop that needs no numpy, is compared with the
+   scalar loop at every bucket position, since witnesses walk them.
 2. **Oracle tolerance**: the vectorized float results stay within float
    round-off of the exact-Fraction oracle (which always runs scalar).
 3. **Selector semantics**: ``resolve_kernel`` maps exact mode to scalar,
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 from repro.bucketization import Bucketization
 from repro.core import kernel
 from repro.core.minimize1 import Minimize1Solver
-from repro.core.minimize2 import min_ratio_table
+from repro.core.minimize2 import MinRatioComputation, min_ratio_table
 from repro.engine import DisclosureEngine
 
 requires_numpy = pytest.mark.skipif(
@@ -41,6 +43,29 @@ signatures = st.lists(
 ).map(lambda counts: tuple(sorted(counts, reverse=True)))
 
 signature_lists = st.lists(signatures, min_size=1, max_size=5)
+
+#: Bucket signatures in runs of equal ones, singleton ``(1,)`` buckets among
+#: them.
+signature_runs = st.lists(
+    st.tuples(st.one_of(st.just((1,)), signatures), st.integers(1, 3)),
+    min_size=1,
+    max_size=4,
+).map(lambda runs: [sig for sig, count in runs for _ in range(count)])
+
+
+def assert_backward_identical(sigs, k):
+    """``kernel.min_ratio_backward`` on scalar MINIMIZE1 tables equals the
+    scalar ``_times`` loop's ``(fa, ff)`` at every position, bit for bit."""
+    solver = Minimize1Solver(kernel="scalar")
+    reference = MinRatioComputation(sigs, k, solver)
+    tables = solver.tables(sigs, k + 1)
+    after = kernel.min_ratio_backward(tables, [sum(s) / s[0] for s in sigs], k)
+    after.reverse()
+    assert len(after) == len(sigs) + 1
+    for position, (fa, ff) in enumerate(after):
+        reference_fa, reference_ff = reference.tables_at(position)
+        assert [x.hex() for x in fa] == [x.hex() for x in reference_fa], position
+        assert [x.hex() for x in ff] == [x.hex() for x in reference_ff], position
 
 
 @requires_numpy
@@ -120,6 +145,21 @@ class TestMinimize2Equivalence:
         with_dedupe = min_ratio_table(sigs, 3, kernel="numpy", dedupe=True)
         without = min_ratio_table(sigs, 3, kernel="numpy", dedupe=False)
         assert with_dedupe == without
+
+
+class TestMinimize2BackwardIdentity:
+    """Runs with or without numpy: the backward pass is plain Python."""
+
+    @given(sigs=signature_runs, k=st.integers(min_value=0, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_every_position_bit_identical(self, sigs, k):
+        assert_backward_identical(sigs, k)
+
+    @pytest.mark.parametrize("k", range(13))  # fig5's DEFAULT_KS
+    def test_singletons_and_runs(self, k):
+        sigs = [(1,), (1,), (3, 2, 1), (3, 2, 1), (3, 2, 1), (2, 2), (1,)]
+        sigs += [(5,), (4, 1, 1, 1), (4, 1, 1, 1), (1,)]
+        assert_backward_identical(sigs, k)
 
 
 class TestKernelSelector:
