@@ -37,10 +37,12 @@ immediately usable everywhere.
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -56,7 +58,7 @@ from repro.engine.base import (
 from repro.engine.plane import CachePolicy, SignaturePlane
 from repro.errors import SearchError
 
-__all__ = ["EngineStats", "DisclosureEngine"]
+__all__ = ["EngineStats", "DisclosureEngine", "series_labels", "threshold_value"]
 
 #: On-disk cache format version (bumped on incompatible layout changes).
 CACHE_FORMAT = 1
@@ -64,7 +66,7 @@ CACHE_FORMAT = 1
 _MISS = object()
 
 
-def _threshold(c: float, *, exact: bool, bounded: bool = True):
+def threshold_value(c: float, *, exact: bool, bounded: bool = True):
     """Validate a disclosure threshold and put it in the engine's arithmetic.
 
     ``bounded`` reflects the adversary model's scale: probability-valued
@@ -75,6 +77,20 @@ def _threshold(c: float, *, exact: bool, bounded: bool = True):
         bound = "(0, 1]" if bounded else "(0, inf)"
         raise ValueError(f"threshold c must be in {bound}, got {c}")
     return Fraction(c).limit_denominator() if exact else c
+
+
+def series_labels(names: Iterable[str]) -> list[str]:
+    """The keys of a :meth:`DisclosureEngine.compare` answer, one per
+    model name in order: the name itself, then ``name#2``, ``name#3``, ...
+    for repeats, so no series is silently dropped."""
+    labels: list[str] = []
+    for name in names:
+        label, n = name, 1
+        while label in labels:
+            n += 1
+            label = f"{name}#{n}"
+        labels.append(label)
+    return labels
 
 
 @dataclass
@@ -282,7 +298,7 @@ class DisclosureEngine:
         bounded = True
         if model is not None:
             bounded = not self.model(model).unbounded_scale
-        return _threshold(c, exact=self.exact, bounded=bounded)
+        return threshold_value(c, exact=self.exact, bounded=bounded)
 
     def _bucket_key(self, m: AdversaryModel, bucketization: Bucketization):
         """The bucketization half of a cache key, tagged by provenance:
@@ -386,6 +402,10 @@ class DisclosureEngine:
         plane-local and would be meaningless elsewhere); a different engine —
         or the same service after a restart — re-interns them on
         :meth:`load_cache`. Returns the number of entries written.
+
+        The write is atomic: the pickle goes to a temporary file in the
+        same directory, is fsynced, and then replaces ``path``. A crash
+        mid-dump leaves the previous file intact and no temporary behind.
         """
         entries = []
         for key, value in self._cache.items():
@@ -398,8 +418,22 @@ class DisclosureEngine:
             "exact": self.exact,
             "entries": entries,
         }
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        path = os.fspath(path)
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(path) + ".",
+            suffix=".tmp",
+            dir=os.path.dirname(path) or ".",
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
         return len(entries)
 
     def load_cache(self, path) -> int:
@@ -485,7 +519,8 @@ class DisclosureEngine:
         model's own batch path in one call (for ``implication`` a single
         MINIMIZE2 pass covers every ``k``, as ``max_disclosure_series``
         always did), and the results are cached individually so later single
-        evaluations hit.
+        evaluations hit. The keys come back in ascending ``k`` order,
+        whatever the cache held before the call.
         """
         m = self.model(model)
         ks = sorted(set(ks))
@@ -504,13 +539,14 @@ class DisclosureEngine:
                 result[k] = value
             else:
                 missing.append(k)
-        if missing:
-            computed = m.series(bucketization, missing, context=self.context)
-            for k in missing:
-                value = computed[k]
-                self._cache_put((name, params, k, bucket_key), value)
-                result[k] = value
-        return result
+        if not missing:
+            return result
+        computed = m.series(bucketization, missing, context=self.context)
+        for k in missing:
+            value = computed[k]
+            self._cache_put((name, params, k, bucket_key), value)
+            result[k] = value
+        return {k: result[k] for k in ks}
 
     def evaluate_many(
         self,
@@ -634,15 +670,12 @@ class DisclosureEngine:
         disambiguated keys (``weighted``, ``weighted#2``, ...) so no series
         is silently dropped.
         """
-        result: dict[str, dict[int, object]] = {}
-        for spec in models:
-            m = self.model(spec)
-            key, n = m.name, 1
-            while key in result:
-                n += 1
-                key = f"{m.name}#{n}"
-            result[key] = self.series(bucketization, ks, model=m)
-        return result
+        instances = [self.model(spec) for spec in models]
+        labels = series_labels(m.name for m in instances)
+        return {
+            label: self.series(bucketization, ks, model=m)
+            for label, m in zip(labels, instances)
+        }
 
     # ------------------------------------------------------------------
     # Derived queries

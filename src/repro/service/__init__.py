@@ -12,13 +12,15 @@ server's. This package is that server, and its horizontal scaling tier:
 - :mod:`repro.service.httpbase` — the shared keep-alive HTTP/1.1 dialect:
   per-connection request loops, read timeouts, connection caps.
 - :mod:`repro.service.server` — :class:`DisclosureService`, a stdlib-only
-  asyncio HTTP server with request coalescing (concurrent singles become
-  one ``evaluate_many`` batch on the signature plane), graceful
+  asyncio HTTP server with one request resolver (every lookup body
+  validated into one identity, memoized by its bytes), cached answers on
+  the event loop, request coalescing (concurrent singles become one
+  ``evaluate_many`` batch on the signature plane), graceful
   load-cache/save-cache lifecycle, and :class:`BackgroundService` for
   in-process embedding.
 - :mod:`repro.service.router` — :class:`ShardRouter`, N supervised
   service shards behind a plane-key hash router (cache-affinity routing
-  with a zero-reparse byte memo, lossless batch split/merge, upstream
+  through the same resolver and memo, lossless batch split/merge, upstream
   coalescing, restart-and-replay, aggregated stats). Shards run as
   subprocesses or embedded in the router process
   (``shard_mode="process"/"inproc"/"auto"``), plus

@@ -31,6 +31,7 @@ import contextlib
 import json
 import socket
 import threading
+from collections.abc import Awaitable
 from typing import Any
 
 from repro.errors import ReproError
@@ -39,8 +40,10 @@ __all__ = [
     "MAX_BODY_BYTES",
     "BadRequest",
     "Unavailable",
+    "PayloadTooLarge",
     "require",
     "require_ks",
+    "guarded",
     "set_nodelay",
     "ConnectionStats",
     "JsonHttpServer",
@@ -69,6 +72,11 @@ class Unavailable(Exception):
     """The service is shutting down or a dependency is gone (a 503 body)."""
 
 
+class PayloadTooLarge(Exception):
+    """A declared body over :data:`MAX_BODY_BYTES` (a 413; the body is
+    never read, so the connection closes)."""
+
+
 def require(payload: dict, field: str, kind, *, optional=False, default=None):
     """One field of a JSON body, type-checked (bool is not an int here)."""
     if field not in payload:
@@ -93,6 +101,27 @@ def require_ks(payload: dict) -> list[int]:
     ):
         raise BadRequest("'ks' must be a non-empty list of integers")
     return ks
+
+
+async def guarded(call: Awaitable[tuple[int, dict]]) -> tuple[int, dict, bool]:
+    """Await one handler under the dialect's exception mapping.
+
+    Returns ``(status, payload, must_close)``: a :class:`BadRequest`,
+    :class:`ValueError` or library error is a 400, :class:`Unavailable` a
+    503 after which the connection must not be reused, anything else a 500
+    without a traceback.
+    """
+    try:
+        status, payload = await call
+        return status, payload, False
+    except BadRequest as exc:
+        return 400, {"error": str(exc)}, False
+    except Unavailable as exc:
+        return 503, {"error": str(exc)}, True
+    except (ReproError, ValueError) as exc:
+        return 400, {"error": str(exc)}, False
+    except Exception as exc:  # never leak a traceback to the caller
+        return 500, {"error": f"{type(exc).__name__}: {exc}"}, False
 
 
 def set_nodelay(sock: Any) -> None:
@@ -238,17 +267,7 @@ class JsonHttpServer:
         lets an in-process shard answer through the same code path as a
         real connection (see :mod:`repro.service.router`).
         """
-        try:
-            status, payload = await self._route(method, path, body)
-            return status, payload, False
-        except BadRequest as exc:
-            return 400, {"error": str(exc)}, False
-        except Unavailable as exc:
-            return 503, {"error": str(exc)}, True
-        except (ReproError, ValueError) as exc:
-            return 400, {"error": str(exc)}, False
-        except Exception as exc:  # never leak a traceback to the caller
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}, False
+        return await guarded(self._route(method, path, body))
 
     # ------------------------------------------------------------------
     # The connection loop
@@ -320,6 +339,8 @@ class JsonHttpServer:
                 keep_alive = False
         except BadRequest as exc:
             status, payload = 400, {"error": str(exc)}
+        except PayloadTooLarge as exc:
+            status, payload = 413, {"error": str(exc)}
         except asyncio.TimeoutError:
             # The connection stalled mid-request: answer and drop it.
             status, payload = 400, {"error": "request read timed out"}
@@ -375,8 +396,12 @@ class JsonHttpServer:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise BadRequest("invalid Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise BadRequest(f"body too large (limit {MAX_BODY_BYTES} bytes)")
+        if length < 0:
+            raise BadRequest("invalid Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLarge(
+                f"body too large (limit {MAX_BODY_BYTES} bytes)"
+            )
         body = await reader.readexactly(length) if length else b""
         connection = headers.get("connection", "").lower()
         if version == "HTTP/1.1":

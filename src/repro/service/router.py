@@ -28,20 +28,27 @@ Shards come in two **modes** (``shard_mode``):
   has more cores than shards, ``inproc`` otherwise
   (:func:`resolve_shard_mode`).
 
-The routing hot path never re-parses what it has already seen: a bounded
-memo keyed on the **raw request bytes** maps straight to the routing
-decision (``route_memo_hits`` / ``reparse_avoided`` in ``/stats``), and a
-memo miss derives the shard key with one
-:func:`~repro.service.wire.signature_items_from_lists` pass over the
-JSON — no :class:`~repro.bucketization.bucketization.Bucketization`
-object graph. Single requests are forwarded as their original bytes,
-untouched; for in-process shards a routed single whose answer is already
-cached is answered on the router's event loop without any dispatch at all
-(``fast_hits``). Concurrent singles bound for the same process shard are
-drained into one upstream batch (``coalesced_batches`` /
-``coalesced_singles``), so N pending questions cost one socket round
-trip; in-process shards rely on their own coalescer, which already lives
-on the same loop.
+The routing hot path never re-parses what it has already seen. Lookup
+bodies (``/disclosure``, ``/safety``, ``/compare``) go through the same
+:class:`~repro.service.server.RequestResolver` the shards use: one
+validation pass (so the router answers a bad body with exactly the 400 a
+shard would) derives the request identity, signature multisets included,
+straight from the raw JSON — no
+:class:`~repro.bucketization.bucketization.Bucketization` object graph.
+The router owns the process's one request memo, a bounded LRU from the
+**raw request bytes** to that identity (``route_memo_hits`` /
+``reparse_avoided`` in ``/stats``); the owning shard of each
+bucketization is hashed once and kept on the identity. In-process shards
+are handed the identity itself and never parse or memoize the body again:
+when every value the request needs is in the owning shard's cache, the
+answer is encoded on the router's event loop (``fast_hits``, for singles,
+``/safety``, batches and ``/compare`` alike); otherwise the shard's engine
+path runs it. Process shards receive the original bytes untouched;
+concurrent singles bound for the same process shard are drained into one
+upstream batch (``coalesced_batches`` / ``coalesced_singles``), whose value
+lists are re-read from the stored bodies, so N pending questions cost one
+socket round trip; in-process shards rely on their own coalescer, which
+already lives on the same loop.
 
 What the router guarantees:
 
@@ -83,26 +90,30 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import Any
 
-from repro.engine.base import available_adversaries, canonical_params
 from repro.service.httpbase import (
     BackgroundHost,
     BadRequest,
     JsonHttpServer,
     Unavailable,
+    guarded,
     require,
-    require_ks,
     set_nodelay,
 )
 from repro.service.server import (
     DisclosureService,
+    RequestIdentity,
+    RequestResolver,
     load_tenants,
     parse_json_body,
 )
-from repro.service.wire import decode_params, signature_items_from_lists
+
+# Looked up by name in this module by perfbench's tracer (the router's own
+# lookups resolve through ``repro.service.server``).
+from repro.service.wire import signature_items_from_lists  # noqa: F401
 
 __all__ = [
     "RouterStats",
@@ -120,9 +131,6 @@ __all__ = [
 _BOOT_TIMEOUT = 60.0
 #: Idle keep-alive connections the router retains per shard.
 _POOL_PER_SHARD = 8
-#: Routing decisions memoized by raw request bytes (entries / body size).
-_ROUTE_MEMO_MAX = 1024
-_ROUTE_MEMO_BODY_MAX = 64 * 1024
 
 _PORT_LINE = re.compile(r"http://([^\s:]+):(\d+)")
 
@@ -286,43 +294,13 @@ class InprocShard:
         """No-op: an in-process shard holds no upstream sockets."""
 
 
-class _RouteEntry:
-    """One memoized routing decision for a single-bucketization body."""
-
-    __slots__ = ("shard_index", "mode", "model", "k", "items", "buckets",
-                 "coalescible", "tenant", "params", "cparams", "params_wire")
-
-    def __init__(
-        self, shard_index, mode, model, k, items, buckets, coalescible,
-        tenant, params, cparams, params_wire,
-    ) -> None:
-        self.shard_index = shard_index
-        self.mode = mode
-        self.model = model
-        self.k = k
-        self.items = items
-        #: Raw bucket lists, kept only for coalescible entries (they are
-        #: what an upstream batch is built from on a memo hit).
-        self.buckets = buckets
-        self.coalescible = coalescible
-        self.tenant = tenant
-        #: Decoded constructor kwargs (the inproc peek needs real values),
-        #: their canonical tuple (the group/shard key needs hashability),
-        #: and the original wire object (a rebuilt upstream batch needs
-        #: the JSON shape back).
-        self.params = params
-        self.cparams = cparams
-        self.params_wire = params_wire
-
-
 class _RouterPending:
     """One single request awaiting the router-side upstream coalescer."""
 
-    __slots__ = ("body", "buckets", "params_wire", "future")
+    __slots__ = ("body", "params_wire", "future")
 
-    def __init__(self, body: bytes, buckets, params_wire, future) -> None:
+    def __init__(self, body: bytes, params_wire, future) -> None:
         self.body = body
-        self.buckets = buckets
         self.params_wire = params_wire
         self.future = future
 
@@ -455,15 +433,14 @@ class ShardRouter(JsonHttpServer):
         self.shards = [shard_class(index) for index in range(shards)]
         self.stats = RouterStats()
         self._health_task: asyncio.Task | None = None
-        #: ``(path, body) -> _RouteEntry``: the zero-reparse routing memo.
-        self._route_memo: dict[tuple[str, bytes], _RouteEntry] = {}
+        #: The process's one request memo: lookup bodies -> identities.
+        #: In-process shards are handed these identities and never
+        #: resolve (or store) a lookup body themselves.
+        self.resolver = RequestResolver(self.tenants)
         #: The upstream coalescer's queue, keyed like the shard's own
         #: coalescer plus the owning shard:
-        #: ``(shard, tenant, mode, model, k, canonical params)``.
-        self._pending: dict[
-            tuple[int, str | None, str, str, int, tuple],
-            list[_RouterPending],
-        ] = {}
+        #: ``(shard, (tenant, mode, model, canonical params, k))``.
+        self._pending: dict[tuple[int, tuple], list[_RouterPending]] = {}
         self._kick: asyncio.Event | None = None
         self._coalescer: asyncio.Task | None = None
         self._drain_tasks: set[asyncio.Task] = set()
@@ -769,12 +746,42 @@ class ShardRouter(JsonHttpServer):
     ) -> tuple[int, dict]:
         """A hop to an embedded shard: the same request semantics as a
         socket exchange, via the shared dispatch path."""
-        service = shard.service
-        if service is None:
-            raise Unavailable(f"shard {shard.index} is unavailable")
+        service = self._service(shard)
         status, payload, _ = await service.dispatch(method, path, body)
         service.note_request(path, status)
         return status, payload
+
+    @staticmethod
+    def _service(shard: InprocShard) -> DisclosureService:
+        if shard.service is None:
+            raise Unavailable(f"shard {shard.index} is unavailable")
+        return shard.service
+
+    async def _answer_inproc(
+        self,
+        shard: InprocShard,
+        path: str,
+        ident: RequestIdentity,
+        request: Callable[[], tuple[bytes | None, dict | None]],
+    ) -> tuple[int, dict]:
+        """Answer a resolved lookup on an embedded shard by identity, so the
+        shard never parses or memoizes the body: from its cache on this
+        event loop when fully cached (``fast_hits``), through its engine
+        otherwise. ``request()`` gives the engine path's ``(body,
+        payload)``, and is only called when that path runs."""
+        service = self._service(shard)
+        self.stats.by_shard[shard.index] += 1
+        answer = service.answer_from_cache(ident)
+        if answer is not None:
+            self.stats.fast_hits += 1
+            service.note_request(path, 200)
+            return 200, answer
+        self.stats.proxied += 1
+        status, answer, _ = await guarded(
+            service.answer_from_engine(ident, *request())
+        )
+        service.note_request(path, status)
+        return status, answer
 
     async def _forward_once(
         self, shard, method: str, path: str, body: bytes
@@ -861,21 +868,13 @@ class ShardRouter(JsonHttpServer):
     # The upstream coalescer (process shards)
     # ------------------------------------------------------------------
     async def _enqueue_single(
-        self, entry: _RouteEntry, body: bytes
+        self, shard_index: int, ident: RequestIdentity, body: bytes
     ) -> tuple[int, dict]:
         """Queue one routed single and await its (possibly batched) answer."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        key = (
-            entry.shard_index,
-            entry.tenant,
-            entry.mode,
-            entry.model,
-            entry.k,
-            entry.cparams,
-        )
-        self._pending.setdefault(key, []).append(
-            _RouterPending(body, entry.buckets, entry.params_wire, future)
+        self._pending.setdefault((shard_index, ident.group), []).append(
+            _RouterPending(body, ident.params_wire, future)
         )
         assert self._kick is not None
         self._kick.set()
@@ -916,12 +915,11 @@ class ShardRouter(JsonHttpServer):
                     raise
 
     async def _run_group(
-        self,
-        key: tuple[int, str | None, str, str, int, tuple],
-        items: list[_RouterPending],
+        self, key: tuple[int, tuple], items: list[_RouterPending]
     ) -> None:
-        """One drained group: forward solo bytes untouched, or batch."""
-        shard_index, tenant, mode, model, k, _cparams = key
+        """One drained group: forward solo bytes untouched, or batch (the
+        value lists re-read from each single's stored body)."""
+        shard_index, (tenant, mode, model, _cparams, k) = key
         shard = self.shards[shard_index]
         try:
             if len(items) == 1:
@@ -932,7 +930,9 @@ class ShardRouter(JsonHttpServer):
                 ]
             else:
                 batch = {
-                    "bucketizations": [p.buckets for p in items],
+                    "bucketizations": [
+                        parse_json_body(p.body)["buckets"] for p in items
+                    ],
                     "ks": [k],
                     "model": model,
                     "exact": mode == "exact",
@@ -984,92 +984,14 @@ class ShardRouter(JsonHttpServer):
             self.stats.by_endpoint[endpoint] += 1
         self.stats.by_status[status] += 1
 
-    def _mode(self, payload: dict) -> str:
-        exact = require(payload, "exact", bool, optional=True, default=False)
-        return "exact" if exact else "float"
-
-    def _model_name(self, payload: dict, default: str = "implication") -> str:
-        name = require(payload, "model", str, optional=True, default=default)
-        if name not in available_adversaries():
-            raise BadRequest(
-                f"unknown adversary model {name!r}; registered: "
-                f"{', '.join(available_adversaries())}"
-            )
-        return name
-
-    def _tenant(self, payload: dict) -> str | None:
-        """Validate the optional ``tenant`` field against the topology —
-        the same 400 the shard itself would produce, but before any
-        routing work."""
-        tenant = require(payload, "tenant", str, optional=True, default=None)
-        if tenant is None:
-            return None
-        if tenant not in self.tenants:
-            raise BadRequest(
-                f"unknown tenant {tenant!r}"
-                + (
-                    f"; configured: {', '.join(sorted(self.tenants))}"
-                    if self.tenants
-                    else " (no tenants configured)"
-                )
-            )
-        return tenant
-
-    def _effective_threat(
-        self, payload: dict, tenant: str | None
-    ) -> tuple[str, dict, tuple, Any]:
-        """The request's effective threat model, resolved exactly as the
-        shard's ``_resolve_model`` will resolve it — ``(name, decoded
-        params, canonical params, wire params)`` — so router and shard
-        always agree on the identity the shard key and cache key hash.
-        """
-        config = self.tenants.get(tenant) if tenant is not None else None
-        name = self._model_name(
-            payload, default=config["model"] if config else "implication"
-        )
-        if "params" in payload:
-            params = decode_params(payload["params"])  # ValueError -> 400
-            params_wire = payload["params"]
-        elif config is not None and "model" not in payload:
-            params = config["params"]
-            params_wire = config["params_wire"]
-        else:
-            params = {}
-            params_wire = None
-        return name, params, canonical_params(params), params_wire
-
-    def _shard_for(
-        self,
-        mode: str,
-        model: Any,
-        ks: tuple[int, ...],
-        buckets,
-        cparams: tuple = (),
-        tenant: str | None = None,
-    ):
-        """The owning shard, keyed without building a ``Bucketization``."""
-        key = shard_key(
-            mode, model, ks, signature_items_from_lists(buckets),
-            cparams, tenant,
-        )
-        return self.shards[key % len(self.shards)]
-
-    def _memoize(self, path: str, body: bytes, entry: _RouteEntry) -> None:
-        if len(body) > _ROUTE_MEMO_BODY_MAX:
-            return
-        memo = self._route_memo
-        if (path, body) not in memo and len(memo) >= _ROUTE_MEMO_MAX:
-            memo.pop(next(iter(memo)))  # bounded: drop the oldest entry
-        memo[(path, body)] = entry
-
     async def _route(self, method: str, path: str, body: bytes):
         """Dispatch one request: the same endpoint table as the shards
         (exact paths plus the ``/releases/{table}/{version}`` prefix),
         routed by plane key or, for publish traffic, table affinity."""
         routes = {
-            "/disclosure": ("POST", self._ep_disclosure),
-            "/safety": ("POST", self._ep_single_key),
-            "/compare": ("POST", self._ep_compare),
+            "/disclosure": ("POST", self._ep_lookup),
+            "/safety": ("POST", self._ep_lookup),
+            "/compare": ("POST", self._ep_lookup),
             "/publish": ("POST", self._ep_publish),
             "/models": ("GET", self._ep_models),
             "/releases": ("GET", self._ep_releases),
@@ -1091,182 +1013,130 @@ class ShardRouter(JsonHttpServer):
         if self._stopping:
             return 503, {"error": "service is shutting down"}
         if verb == "POST":
-            entry = self._route_memo.get((path, body))
-            if entry is not None:
-                # Byte-identical body seen before: route it without
-                # touching JSON at all.
-                self.stats.route_memo_hits += 1
-                self.stats.reparse_avoided += 1
-                return await self._dispatch_single(path, body, entry)
-            return await handler(path, parse_json_body(body), body)
+            return await handler(path, body)
         return await handler()
 
-    async def _dispatch_single(
-        self, path: str, body: bytes, entry: _RouteEntry
-    ):
-        """Answer one routed single-bucketization request.
-
-        In-process shards first try the lock-free cache peek (a hit is
-        answered entirely on this event loop, no dispatch); coalescible
-        singles bound for process shards go through the upstream
-        coalescer; everything else forwards the original bytes.
-        """
-        shard = self.shards[entry.shard_index]
-        if shard.mode == "inproc":
-            if entry.coalescible and shard.service is not None:
-                answer = shard.service.peek_single(
-                    entry.mode,
-                    entry.model,
-                    entry.k,
-                    entry.items,
-                    params=entry.params,
-                    tenant=entry.tenant,
+    def _owners(self, ident: RequestIdentity) -> tuple[int, ...]:
+        """The owning shard of each of ``ident``'s bucketizations, keyed
+        without building a ``Bucketization`` and cached on the identity
+        (so a memoized body is hashed once)."""
+        owners = ident.route
+        if owners is None:
+            if ident.kind == "compare":
+                model, ks = ident.names, ident.ks
+            else:
+                model = ident.model
+                ks = ident.ks if ident.kind == "batch" else (ident.k,)
+            owners = ident.route = tuple(
+                shard_key(
+                    ident.mode, model, ks, items, ident.cparams, ident.tenant
                 )
-                if answer is not None:
-                    self.stats.fast_hits += 1
-                    self.stats.by_shard[shard.index] += 1
-                    return 200, answer
-            return await self._forward(shard, "POST", path, body)
-        if entry.coalescible:
-            return await self._enqueue_single(entry, body)
-        return await self._forward(shard, "POST", path, body)
-
-    async def _ep_disclosure(self, path: str, payload: dict, body: bytes):
-        if "bucketizations" in payload:
-            return await self._ep_batch(path, payload, body)
-        return await self._ep_single_key(path, payload, body)
-
-    async def _ep_single_key(self, path: str, payload: dict, body: bytes):
-        """Single-bucketization endpoints (``/disclosure``, ``/safety``):
-        derive the plane key with one pass over the raw lists, memoize
-        the decision against the request bytes, dispatch."""
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        model, params, cparams, params_wire = self._effective_threat(
-            payload, tenant
-        )
-        k = require(payload, "k", int)
-        buckets = require(payload, "buckets", list)
-        items = signature_items_from_lists(buckets)
-        key = shard_key(mode, model, (k,), items, cparams, tenant)
-        # Only plain /disclosure singles may be answered from a peek or
-        # folded into an upstream batch: /safety has a different response
-        # shape, witnesses need the real endpoint, and a negative k must
-        # reach the shard's own validation for the identical 400.
-        coalescible = (
-            path == "/disclosure"
-            and k >= 0
-            and not require(
-                payload, "witness", bool, optional=True, default=False
+                % len(self.shards)
+                for items in ident.items
             )
-        )
-        entry = _RouteEntry(
-            key % len(self.shards),
-            mode,
-            model,
-            k,
-            items,
-            buckets if coalescible else None,
-            coalescible,
-            tenant,
-            params,
-            cparams,
-            params_wire,
-        )
-        self._memoize(path, body, entry)
-        return await self._dispatch_single(path, body, entry)
+        return owners
 
-    async def _ep_compare(self, path: str, payload: dict, body: bytes):
-        """``/compare`` spans models; its plane key uses the model tuple."""
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        models = payload.get("models", ["implication", "negation"])
-        if not isinstance(models, list) or not all(
-            isinstance(name, str) for name in models
-        ):
-            raise BadRequest("'models' must be a list of model names")
-        if "params" in payload:
-            cparams = canonical_params(decode_params(payload["params"]))
-        elif tenant is not None and "models" not in payload:
-            cparams = canonical_params(self.tenants[tenant]["params"])
-        else:
-            cparams = ()
-        ks = tuple(require_ks(payload))
-        shard = self._shard_for(
-            mode, tuple(models), ks, require(payload, "buckets", list),
-            cparams, tenant,
-        )
+    async def _ep_lookup(self, path: str, body: bytes):
+        """``/disclosure``, ``/safety`` and ``/compare``: resolve the body
+        through the request memo, then answer it on the owning shard.
+
+        In-process shards are answered by identity (from their cache on
+        this loop when possible); a plain ``/disclosure`` single bound for
+        a process shard goes through the upstream coalescer; everything
+        else forwards the original bytes. A batch whose bucketizations
+        hash to several shards is split and merged (``split_batches``).
+        """
+        ident, payload = self.resolver.resolve(path, body)
+        if payload is None:
+            # Byte-identical body seen before: no JSON touched at all.
+            self.stats.route_memo_hits += 1
+            self.stats.reparse_avoided += 1
+        owners = self._owners(ident)
+        if len(set(owners)) > 1:
+            return await self._split_batch(path, ident, body, payload)
+        if ident.kind == "batch":
+            self.stats.whole_batches += 1
+        shard = self.shards[owners[0]]
+        if shard.mode == "inproc":
+            return await self._answer_inproc(
+                shard, path, ident, lambda: (body, payload)
+            )
+        if ident.kind == "single" and not ident.witness:
+            return await self._enqueue_single(shard.index, ident, body)
         return await self._forward(shard, "POST", path, body)
 
-    async def _ep_batch(self, path: str, payload: dict, body: bytes):
+    async def _split_batch(
+        self, path: str, ident: RequestIdentity, body: bytes, payload
+    ):
         """Split a batch by per-bucketization plane key, merge losslessly.
 
-        When every bucketization hashes to one shard there is nothing to
-        split: the original request bytes are forwarded whole (no sub-batch
-        re-encoding, no merge pass) and the skip is counted in
-        ``whole_batches``.
+        Embedded shards answer their sub-batch by sub-identity; process
+        shards receive a re-encoded sub-batch, whose value lists are
+        re-read from the body only when one is needed.
         """
-        tenant = self._tenant(payload)
-        mode = self._mode(payload)
-        model, _params, cparams, params_wire = self._effective_threat(
-            payload, tenant
-        )
-        ks = require_ks(payload)
-        raw = require(payload, "bucketizations", list)
-        if not raw:
-            raise BadRequest("'bucketizations' must be a non-empty list")
-        groups: dict[int, list[int]] = {}
-        for position, buckets in enumerate(raw):
-            shard = self._shard_for(
-                mode, model, tuple(ks), buckets, cparams, tenant
-            )
-            groups.setdefault(shard.index, []).append(position)
-        if len(groups) == 1:
-            self.stats.whole_batches += 1
-            shard = self.shards[next(iter(groups))]
-            return await self._forward(shard, "POST", path, body)
         self.stats.split_batches += 1
+        groups: dict[int, list[int]] = {}
+        for position, index in enumerate(self._owners(ident)):
+            groups.setdefault(index, []).append(position)
+        parsed = [payload]
+
+        def sub_payload(positions: list[int]) -> dict:
+            if parsed[0] is None:
+                parsed[0] = parse_json_body(body)
+            raw = parsed[0]["bucketizations"]
+            sub = {
+                "bucketizations": [raw[p] for p in positions],
+                "ks": list(ident.ks),
+                "model": ident.model,
+                "exact": ident.mode == "exact",
+            }
+            # An explicit model suppresses tenant defaults at the shard, so
+            # the effective params ride along explicitly too.
+            if ident.params_wire is not None:
+                sub["params"] = ident.params_wire
+            if ident.tenant is not None:
+                sub["tenant"] = ident.tenant
+            return sub
 
         async def _sub(shard_index: int, positions: list[int]):
-            sub_payload = {
-                "bucketizations": [raw[p] for p in positions],
-                "ks": ks,
-                "model": model,
-                "exact": mode == "exact",
-            }
-            if params_wire is not None:
-                sub_payload["params"] = params_wire
-            if tenant is not None:
-                sub_payload["tenant"] = tenant
-            return await self._forward(
-                self.shards[shard_index],
-                "POST",
+            shard = self.shards[shard_index]
+            if shard.mode != "inproc":
+                return await self._forward(
+                    shard,
+                    "POST",
+                    path,
+                    json.dumps(sub_payload(positions)).encode(),
+                )
+            return await self._answer_inproc(
+                shard,
                 path,
-                json.dumps(sub_payload).encode(),
+                ident.subset(positions),
+                lambda: (None, sub_payload(positions)),
             )
 
         answers = await asyncio.gather(
             *(_sub(index, positions) for index, positions in groups.items())
         )
-        merged: list[Any] = [None] * len(raw)
+        merged: list[Any] = [None] * len(ident.items)
         for (status, answer), positions in zip(answers, groups.values()):
             if status != 200:
                 return status, answer
             for position, series in zip(positions, answer["series"]):
                 merged[position] = series
         return 200, {
-            "model": model,
-            "ks": sorted(set(ks)),
-            "exact": mode == "exact",
+            "model": ident.model,
+            "ks": list(ident.ks),
+            "exact": ident.mode == "exact",
             "series": merged,
         }
 
-    async def _ep_publish(self, path: str, payload: dict, body: bytes):
+    async def _ep_publish(self, path: str, body: bytes):
         """``/publish`` routes by **table affinity** (see
         :func:`table_shard_key`): every version of one table reaches the
         shard owning that table's ledger slice, whatever its buckets hash
         to. The original bytes are forwarded untouched."""
-        tenant = self._tenant(payload)
+        payload = parse_json_body(body)
+        tenant = self.resolver.tenant(payload)
         table = require(payload, "table", str)
         shard = self.shards[
             table_shard_key(table, tenant) % len(self.shards)
@@ -1387,6 +1257,8 @@ class ShardRouter(JsonHttpServer):
                 "single_requests",
                 "batch_requests",
                 "cache_fast_hits",
+                "series_fast_hits",
+                "memo_hits",
                 "coalesced_batches",
                 "coalesced_singles",
                 "publishes_total",

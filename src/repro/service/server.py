@@ -44,6 +44,31 @@ path                   verb  body / answer
 ``/healthz``           GET   liveness
 =====================  ====  ==================================================
 
+**One identity per body.** A lookup body (``/disclosure``, ``/safety``,
+``/compare``) is turned into a validated :class:`RequestIdentity` by one
+:class:`RequestResolver`: tenant, mode, model name(s) and resolved
+instance(s), params (decoded, canonical and wire), ``k`` or the sorted,
+de-duplicated ``ks``, ``c`` and the witness flag, and one signature-items
+tuple per bucketization. The service's handlers, the coalescer's group key
+and the shard router's plane key all read that one object, so every
+topology gives the same 400 for a bad body. The resolver keeps a bounded
+LRU memo from ``(path, body bytes)`` to the identity (1,024 entries,
+bodies up to 64 KiB, validated bodies only, ``/stats ->
+service.memo_hits``): a byte-identical repeat skips parsing, validation
+and keying. The memo holds identities, never answers: every value still
+comes from the engine cache. One process keeps one memo, in whichever
+object reads the socket (the service, or the router in front of
+in-process shards).
+
+**Fully cached answers on the event loop.** Before any ``Bucketization``
+is built or the engine thread is involved, every ``(model, k,
+bucketization)`` of a request is peeked with
+:meth:`~repro.engine.engine.DisclosureEngine.peek_cached`. When all of
+them hit, the answer is encoded on the loop: singles and ``/safety``
+count in ``cache_fast_hits``, ``/disclosure`` batches and ``/compare`` in
+``series_fast_hits``. Witness requests and models that are not
+signature-decomposable always take the engine path.
+
 Lifecycle matches the engine's: :meth:`DisclosureService.start` loads any
 persisted cache (``load_cache``), :meth:`DisclosureService.stop` drains,
 saves the caches and closes the engines — ``repro serve`` ties those to
@@ -59,9 +84,10 @@ import asyncio
 import json
 import re
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -74,7 +100,7 @@ from repro.engine.base import (
     get_adversary,
     param_schema,
 )
-from repro.engine.engine import DisclosureEngine
+from repro.engine.engine import DisclosureEngine, series_labels, threshold_value
 from repro.engine.plane import CachePolicy
 from repro.publish.engine import TABLE_NAME, RepublicationEngine
 from repro.publish.ledger import ReleaseLedger, multiset_to_wire
@@ -102,9 +128,12 @@ __all__ = [
     "ROUTES",
     "PREFIX_ROUTES",
     "ServiceStats",
+    "RequestIdentity",
+    "RequestResolver",
     "DisclosureService",
     "BackgroundService",
     "load_tenants",
+    "resolve_mode",
 ]
 
 #: Tenant ids become cache-file name components, so they are restricted to
@@ -187,9 +216,9 @@ _MODES = ("float", "exact")
 #: :meth:`DisclosureService._route` dispatches from it and
 #: ``scripts/check_docs.py`` asserts ``docs/wire-protocol.md`` matches it.
 ROUTES: dict[str, tuple[str, str]] = {
-    "/disclosure": ("POST", "_ep_disclosure"),
-    "/safety": ("POST", "_ep_safety"),
-    "/compare": ("POST", "_ep_compare"),
+    "/disclosure": ("POST", "_ep_lookup"),
+    "/safety": ("POST", "_ep_lookup"),
+    "/compare": ("POST", "_ep_lookup"),
     "/publish": ("POST", "_ep_publish"),
     "/models": ("GET", "_ep_models"),
     "/releases": ("GET", "_ep_releases"),
@@ -203,6 +232,274 @@ PREFIX_ROUTES: dict[str, tuple[str, str]] = {
     "/releases/": ("GET", "_ep_release"),
 }
 
+#: Bounds of the request memo: entries, and the largest body it keeps.
+MEMO_ENTRIES = 1024
+MEMO_BODY_MAX = 64 * 1024
+
+
+def resolve_mode(payload: dict) -> str:
+    """The arithmetic mode a body asks for: ``"exact"`` or ``"float"``."""
+    exact = require(payload, "exact", bool, optional=True, default=False)
+    return "exact" if exact else "float"
+
+
+def _registered(name: str) -> str:
+    if name not in available_adversaries():
+        raise BadRequest(
+            f"unknown adversary model {name!r}; registered: "
+            f"{', '.join(available_adversaries())}"
+        )
+    return name
+
+
+def _nonnegative_ks(ks: list[int]) -> tuple[int, ...]:
+    ordered = tuple(sorted(set(ks)))
+    if ordered[0] < 0:
+        raise BadRequest(f"k must be non-negative, got {ordered[0]}")
+    return ordered
+
+
+@dataclass(slots=True, eq=False)
+class RequestIdentity:
+    """A validated lookup request: everything its answer depends on.
+
+    ``kind`` is ``"single"``, ``"batch"`` (both ``/disclosure``),
+    ``"safety"`` or ``"compare"``. ``names`` and ``instances`` hold one
+    model (several for ``/compare``); ``items`` holds one signature-items
+    tuple per bucketization (several for a batch). ``k`` is set for
+    singles and ``/safety``, ``ks`` (sorted, de-duplicated) for batches
+    and ``/compare``; ``c`` and ``threshold`` only for ``/safety``.
+    ``route`` is free for the shard router to cache each bucketization's
+    owning shard in. Nothing here is parsed JSON or a ``Bucketization``:
+    the engine path re-reads the body when it needs the value lists.
+    """
+
+    kind: str
+    tenant: str | None
+    mode: str
+    names: tuple[str, ...]
+    instances: tuple[AdversaryModel, ...]
+    params: Mapping[str, Any]
+    cparams: tuple
+    params_wire: Any
+    items: tuple
+    k: int | None = None
+    ks: tuple[int, ...] | None = None
+    c: Any = None
+    threshold: Any = None
+    witness: bool = False
+    route: tuple[int, ...] | None = None
+
+    @property
+    def model(self) -> str:
+        """The model name of a single-model request."""
+        return self.names[0]
+
+    @property
+    def group(self) -> tuple:
+        """The coalescer group of a single or ``/safety`` request: ``(tenant,
+        mode, model name, canonical params, k)``."""
+        return (self.tenant, self.mode, self.names[0], self.cparams, self.k)
+
+    def subset(self, positions: list[int]) -> RequestIdentity:
+        """This batch restricted to the bucketizations at ``positions``."""
+        return replace(
+            self, items=tuple(self.items[p] for p in positions), route=None
+        )
+
+
+class RequestResolver:
+    """The one parser of lookup bodies, and the process's request memo.
+
+    :meth:`resolve` maps ``(path, body bytes)`` to a
+    :class:`RequestIdentity`, through a bounded LRU memo
+    (:data:`MEMO_ENTRIES` entries, bodies up to :data:`MEMO_BODY_MAX`
+    bytes) that only ever stores bodies which passed validation. The
+    checks run in one fixed order per endpoint, so the service and the
+    shard router give the same 400 for the same body.
+    """
+
+    def __init__(self, tenants: Mapping[str, dict]) -> None:
+        self.tenants = tenants
+        self._memo: OrderedDict[tuple[str, bytes], RequestIdentity] = (
+            OrderedDict()
+        )
+        #: ``(name, canonical params) ->`` model instance: each threat is
+        #: constructed (and so validated) once per process.
+        self._instances: dict[tuple[str, tuple], AdversaryModel] = {}
+        #: One shared copy of each recent signature multiset, so the
+        #: memo's relabelled and reordered variants of one question do not
+        #: each keep their own (cleared when it reaches the memo's size).
+        self._multisets: dict[tuple, tuple] = {}
+
+    def resolve(
+        self, path: str, body: bytes
+    ) -> tuple[RequestIdentity, dict | None]:
+        """The identity of one lookup body, and its parsed payload — or
+        ``None`` in place of the payload on a memo hit (nothing was
+        parsed)."""
+        key = (path, body)
+        ident = self._memo.get(key)
+        if ident is not None:
+            self._memo.move_to_end(key)
+            return ident, None
+        payload = parse_json_body(body)
+        ident = self.identity(path, payload)
+        if len(body) <= MEMO_BODY_MAX:
+            self._memo[key] = ident
+            if len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+        return ident, payload
+
+    def _items(self, buckets: Any) -> tuple:
+        """The signature multiset of one bucketization's raw value lists,
+        validated, as the copy shared by every identity that has it."""
+        items = signature_items_from_lists(buckets)
+        shared = self._multisets.get(items)
+        if shared is None:
+            if len(self._multisets) >= MEMO_ENTRIES:
+                self._multisets.clear()
+            shared = self._multisets[items] = items
+        return shared
+
+    def tenant(self, payload: dict) -> str | None:
+        """The optional ``tenant`` field, checked against the topology."""
+        tenant = require(payload, "tenant", str, optional=True, default=None)
+        if tenant is not None and tenant not in self.tenants:
+            raise BadRequest(
+                f"unknown tenant {tenant!r}"
+                + (
+                    f"; configured: {', '.join(sorted(self.tenants))}"
+                    if self.tenants
+                    else " (no tenants configured)"
+                )
+            )
+        return tenant
+
+    def instance(
+        self, name: str, params: Mapping[str, Any]
+    ) -> tuple[tuple, AdversaryModel]:
+        """``(canonical params, instance)`` of a registered model name.
+        Constructor failures — unknown param name (:class:`TypeError`),
+        out-of-range value (:class:`ValueError`) — are a 400, never a
+        500."""
+        try:
+            cparams = canonical_params(params)
+            key = (name, cparams)
+            instance = self._instances.get(key)
+            if instance is None:
+                instance = get_adversary(name, **params)
+                self._instances[key] = instance
+        except (TypeError, ValueError) as exc:
+            raise BadRequest(f"invalid params for model {name!r}: {exc}") from None
+        return cparams, instance
+
+    def threat(self, payload: dict, tenant: str | None):
+        """The request's effective threat model: ``(name, decoded params,
+        canonical params, wire params, instance)``.
+
+        Explicit ``model``/``params`` fields win; a tenant supplies the
+        defaults for whichever is absent."""
+        config = self.tenants.get(tenant) if tenant is not None else None
+        name = _registered(
+            require(
+                payload,
+                "model",
+                str,
+                optional=True,
+                default=config["model"] if config else "implication",
+            )
+        )
+        if "params" in payload:
+            params_wire = payload["params"]
+            params = decode_params(params_wire)  # ValueError -> 400
+        elif config is not None and "model" not in payload:
+            params, params_wire = config["params"], config["params_wire"]
+        else:
+            params, params_wire = {}, None
+        cparams, instance = self.instance(name, params)
+        return name, params, cparams, params_wire, instance
+
+    def identity(self, path: str, payload: dict) -> RequestIdentity:
+        """Validate one parsed lookup body (no memo)."""
+        tenant = self.tenant(payload)
+        mode = resolve_mode(payload)
+        if path == "/compare":
+            return self._compare(payload, tenant, mode)
+        name, params, cparams, params_wire, instance = self.threat(
+            payload, tenant
+        )
+        threat = ((name,), (instance,), params, cparams, params_wire)
+        if path == "/disclosure" and "bucketizations" in payload:
+            ks = require_ks(payload)
+            raw = require(payload, "bucketizations", list)
+            if not raw:
+                raise BadRequest("'bucketizations' must be a non-empty list")
+            items = tuple(self._items(b) for b in raw)
+            return RequestIdentity(
+                "batch", tenant, mode, *threat, items, ks=_nonnegative_ks(ks)
+            )
+        k = require(payload, "k", int)
+        if path == "/safety":
+            c = require(payload, "c", (int, float))
+            if isinstance(c, bool):
+                raise BadRequest("field 'c' must be a number")
+            raw = require(payload, "buckets", list)
+            # The threshold is checked against the model's scale before
+            # the buckets (bad thresholds are a 400, not a computation).
+            threshold = threshold_value(
+                c, exact=mode == "exact", bounded=not instance.unbounded_scale
+            )
+            items = (self._items(raw),)
+            _nonnegative_ks([k])
+            return RequestIdentity(
+                "safety", tenant, mode, *threat, items,
+                k=k, c=c, threshold=threshold,
+            )
+        _nonnegative_ks([k])
+        raw = require(payload, "buckets", list)
+        witness = require(payload, "witness", bool, optional=True, default=False)
+        items = (self._items(raw),)
+        return RequestIdentity(
+            "single", tenant, mode, *threat, items, k=k, witness=witness
+        )
+
+    def _compare(
+        self, payload: dict, tenant: str | None, mode: str
+    ) -> RequestIdentity:
+        ks = require_ks(payload)
+        models = payload.get("models", ["implication", "negation"])
+        if not isinstance(models, list) or not models:
+            raise BadRequest("'models' must be a non-empty list of names")
+        for name in models:
+            if not isinstance(name, str):
+                raise BadRequest("'models' must be a list of model names")
+        names = tuple(_registered(name) for name in models)
+        if "params" in payload:
+            # One params object, applied to every listed model (the
+            # /compare use case is one parametric family across k).
+            params_wire = payload["params"]
+            params = decode_params(params_wire)
+        elif tenant is not None and "models" not in payload:
+            config = self.tenants[tenant]
+            params, params_wire = config["params"], config["params_wire"]
+        else:
+            params, params_wire = {}, None
+        resolved = [self.instance(name, params) for name in names]
+        items = (self._items(require(payload, "buckets", list)),)
+        return RequestIdentity(
+            "compare",
+            tenant,
+            mode,
+            names,
+            tuple(instance for _cparams, instance in resolved),
+            params,
+            resolved[0][0],
+            params_wire,
+            items,
+            ks=_nonnegative_ks(ks),
+        )
+
 
 class ServiceStats:
     """The serving-layer counters behind ``/stats`` (engine counters live on
@@ -212,6 +509,11 @@ class ServiceStats:
     concurrent single request; ``coalesced_singles`` counts the singles so
     served — together they are the observable behind the coalescing claim
     tested end-to-end and benchmarked in ``benchmarks/bench_service.py``.
+    ``cache_fast_hits`` counts singles and ``/safety`` requests answered
+    from the engine cache on the event loop, ``series_fast_hits`` the
+    ``/disclosure`` batches and ``/compare`` requests so answered, and
+    ``memo_hits`` the lookup bodies this service resolved from its request
+    memo (in-process shards leave it at 0: their router keeps the memo).
     """
 
     def __init__(self) -> None:
@@ -222,6 +524,8 @@ class ServiceStats:
         self.single_requests = 0
         self.batch_requests = 0
         self.cache_fast_hits = 0
+        self.series_fast_hits = 0
+        self.memo_hits = 0
         self.coalesced_batches = 0
         self.coalesced_singles = 0
         self.max_coalesced = 0
@@ -260,6 +564,8 @@ class ServiceStats:
             "single_requests": self.single_requests,
             "batch_requests": self.batch_requests,
             "cache_fast_hits": self.cache_fast_hits,
+            "series_fast_hits": self.series_fast_hits,
+            "memo_hits": self.memo_hits,
             "coalesced_batches": self.coalesced_batches,
             "coalesced_singles": self.coalesced_singles,
             "max_coalesced": self.max_coalesced,
@@ -387,6 +693,8 @@ class DisclosureService(JsonHttpServer):
         self.tenant_engines: dict[str, dict[str, DisclosureEngine]] = {
             tenant: _engine_pair() for tenant in self.tenants
         }
+        #: Lookup bodies -> validated identities, memoized by their bytes.
+        self.resolver = RequestResolver(self.tenants)
         #: The release ledger behind ``/publish`` — persistent when
         #: ``ledger_file`` is given (the router hands each subprocess shard
         #: its own ``<prefix>.shard<i>.sqlite``), in-memory otherwise.
@@ -512,21 +820,13 @@ class DisclosureService(JsonHttpServer):
     # The coalescer
     # ------------------------------------------------------------------
     async def _enqueue_single(
-        self,
-        tenant: str | None,
-        mode: str,
-        model: str,
-        cparams: tuple,
-        instance: AdversaryModel,
-        k: int,
-        bucketization: Bucketization,
+        self, ident: RequestIdentity, bucketization: Bucketization
     ):
         """Queue one single evaluation and await its coalesced result."""
         loop = asyncio.get_running_loop()
         future = loop.create_future()
-        key = (tenant, mode, model, cparams, k)
-        self._pending.setdefault(key, []).append(
-            _Pending(bucketization, instance, future)
+        self._pending.setdefault(ident.group, []).append(
+            _Pending(bucketization, ident.instances[0], future)
         )
         assert self._kick is not None
         self._kick.set()
@@ -626,237 +926,168 @@ class DisclosureService(JsonHttpServer):
         if prefixed:
             return await handler(path)
         if verb == "POST":
-            payload = parse_json_body(body)
-            return await handler(payload)
+            return await handler(path, body)
         return await handler()
 
     def _engines_for(self, tenant: str | None) -> dict[str, DisclosureEngine]:
         return self.engines if tenant is None else self.tenant_engines[tenant]
 
-    def _tenant(self, payload: dict) -> str | None:
-        tenant = require(payload, "tenant", str, optional=True, default=None)
-        if tenant is None:
-            return None
-        if tenant not in self.tenants:
-            raise BadRequest(
-                f"unknown tenant {tenant!r}"
-                + (
-                    f"; configured: {', '.join(sorted(self.tenants))}"
-                    if self.tenants
-                    else " (no tenants configured)"
-                )
-            )
-        self.stats.by_tenant[tenant] += 1
-        return tenant
+    async def _ep_lookup(self, path: str, body: bytes):
+        """``/disclosure``, ``/safety`` and ``/compare``: resolve the body
+        (through the request memo), then answer its identity from the
+        cache on the event loop when every value it needs is cached, from
+        the engine otherwise."""
+        ident, payload = self.resolver.resolve(path, body)
+        if payload is None:
+            self.stats.memo_hits += 1
+        cached = self.answer_from_cache(ident)
+        if cached is not None:
+            return 200, cached
+        return await self.answer_from_engine(ident, body, payload)
 
-    def _mode_and_engine(
-        self, payload: dict, tenant: str | None = None
-    ) -> tuple[str, DisclosureEngine]:
-        exact = require(payload, "exact", bool, optional=True, default=False)
-        mode = "exact" if exact else "float"
-        return mode, self._engines_for(tenant)[mode]
+    def answer_from_cache(self, ident: RequestIdentity) -> dict | None:
+        """The whole answer of ``ident`` from the engine cache, or ``None``
+        as soon as one ``(model, k, bucketization)`` misses.
 
-    def _model_name(
-        self,
-        payload: dict,
-        field: str = "model",
-        default: str = "implication",
-    ) -> str:
-        name = require(payload, field, str, optional=True, default=default)
-        if name not in available_adversaries():
-            raise BadRequest(
-                f"unknown adversary model {name!r}; registered: "
-                f"{', '.join(available_adversaries())}"
-            )
-        return name
-
-    def _resolve_threat(
-        self, payload: dict, engine: DisclosureEngine, tenant: str | None
-    ) -> tuple[str, dict[str, Any], tuple, AdversaryModel]:
-        """The request's effective threat model:
-        ``(name, decoded params, canonical params, resolved instance)``.
-
-        Explicit ``model``/``params`` fields win; a tenant supplies the
-        defaults for whichever is absent. Constructor failures — unknown
-        param name (:class:`TypeError`), out-of-range value
-        (:class:`ValueError`) — surface as a 400 with the message, never
-        a 500.
+        Runs on the event loop: :meth:`~repro.engine.engine.DisclosureEngine.peek_cached`
+        is strictly read-only, so it is safe against the engine thread,
+        and no ``Bucketization`` is built. Witness requests never come
+        here, and models that are not signature-decomposable always miss.
+        Bumps the counters of a served request only when it answers.
         """
-        config = self.tenants.get(tenant) if tenant is not None else None
-        name = self._model_name(
-            payload,
-            default=config["model"] if config else "implication",
-        )
-        if "params" in payload:
-            params = decode_params(payload["params"])  # ValueError -> 400
-        elif config is not None and "model" not in payload:
-            params = config["params"]
-        else:
-            params = {}
-        try:
-            instance = engine.model(name, params)
-        except (TypeError, ValueError) as exc:
-            raise BadRequest(f"invalid params for model {name!r}: {exc}") from None
-        return name, params, canonical_params(params), instance
-
-    def _resolve_model(
-        self, payload: dict, engine: DisclosureEngine, tenant: str | None
-    ) -> tuple[str, tuple, AdversaryModel]:
-        """:meth:`_resolve_threat` without the decoded params dict."""
-        name, _params, cparams, instance = self._resolve_threat(
-            payload, engine, tenant
-        )
-        return name, cparams, instance
-
-    async def _ep_disclosure(self, payload: dict):
-        if "bucketizations" in payload:
-            return await self._ep_disclosure_batch(payload)
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, cparams, instance = self._resolve_model(payload, engine, tenant)
-        k = require(payload, "k", int)
-        if k < 0:
-            raise BadRequest(f"k must be non-negative, got {k}")
-        raw_buckets = require(payload, "buckets", list)
-        want_witness = require(
-            payload, "witness", bool, optional=True, default=False
-        )
-        if not want_witness:
-            # Cache-hit fast path: answer on the event loop, skipping both
-            # the executor hop and the Bucketization build. peek_cached is
-            # strictly read-only, so it is safe against the engine thread.
-            cached = engine.peek_cached(
-                instance, k, signature_items_from_lists(raw_buckets)
-            )
-            if cached is not None:
+        if ident.witness:
+            return None
+        engine = self._engines_for(ident.tenant)[ident.mode]
+        peek = engine.peek_cached
+        kind = ident.kind
+        if kind == "single" or kind == "safety":
+            value = peek(ident.instances[0], ident.k, ident.items[0])
+            if value is None:
+                return None
+            answer = self._value_answer(ident, value)
+            if kind == "single":
                 self.stats.single_requests += 1
-                self.stats.cache_fast_hits += 1
-                return 200, {
-                    "model": model,
-                    "k": k,
-                    "exact": mode == "exact",
-                    "value": encode_value(cached),
-                }
-        bucketization = bucketization_from_payload(raw_buckets)
-        self.stats.single_requests += 1
-        value = await self._enqueue_single(
-            tenant, mode, model, cparams, instance, k, bucketization
-        )
-        answer: dict[str, Any] = {
-            "model": model,
-            "k": k,
-            "exact": mode == "exact",
-            "value": encode_value(value),
-        }
-        if want_witness:
-            loop = asyncio.get_running_loop()
+            self.stats.cache_fast_hits += 1
+        else:
+            series = []
+            for m in ident.instances:
+                for items in ident.items:
+                    values = {}
+                    for k in ident.ks:
+                        value = peek(m, k, items)
+                        if value is None:
+                            return None
+                        values[k] = value
+                    series.append(values)
+            if kind == "batch":
+                answer = self._batch_answer(ident, series)
+                self.stats.batch_requests += 1
+            else:
+                answer = self._compare_answer(ident, engine, series)
+            self.stats.series_fast_hits += 1
+        if ident.tenant is not None:
+            self.stats.by_tenant[ident.tenant] += 1
+        return answer
+
+    async def answer_from_engine(
+        self, ident: RequestIdentity, body: bytes | None, payload=None
+    ):
+        """Answer ``ident`` through the engine thread (singles and
+        ``/safety`` through the coalescer). The value lists come from
+        ``payload``, or from re-reading ``body`` when the identity came out
+        of the memo."""
+        if self._stopping:
+            raise Unavailable("service is shutting down")
+        if ident.tenant is not None:
+            self.stats.by_tenant[ident.tenant] += 1
+        if payload is None:
+            payload = parse_json_body(body)
+        engine = self._engines_for(ident.tenant)[ident.mode]
+        loop = asyncio.get_running_loop()
+        if ident.kind == "batch":
+            bs = [
+                bucketization_from_payload(buckets)
+                for buckets in payload["bucketizations"]
+            ]
+            self.stats.batch_requests += 1
+            series = await loop.run_in_executor(
+                self._executor,
+                lambda: engine.evaluate_many(
+                    bs, ident.ks, model=ident.instances[0]
+                ),
+            )
+            return 200, self._batch_answer(ident, series)
+        bucketization = bucketization_from_payload(payload["buckets"])
+        if ident.kind == "compare":
+            comparison = await loop.run_in_executor(
+                self._executor,
+                lambda: engine.compare(
+                    bucketization, ident.ks, models=ident.instances
+                ),
+            )
+            return 200, self._compare_answer(
+                ident, engine, list(comparison.values())
+            )
+        if ident.kind == "single":
+            self.stats.single_requests += 1
+        value = await self._enqueue_single(ident, bucketization)
+        answer = self._value_answer(ident, value)
+        if ident.witness:
+            instance = ident.instances[0]
             try:
                 witness = await loop.run_in_executor(
                     self._executor,
-                    lambda: engine.witness(bucketization, k, model=instance),
+                    lambda: engine.witness(bucketization, ident.k, model=instance),
                 )
             except NotImplementedError as exc:
                 raise BadRequest(str(exc)) from None
             answer["witness"] = encode_witness(witness)
         return 200, answer
 
-    async def _ep_disclosure_batch(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, _cparams, instance = self._resolve_model(
-            payload, engine, tenant
-        )
-        ks = require_ks(payload)
-        raw = require(payload, "bucketizations", list)
-        if not raw:
-            raise BadRequest("'bucketizations' must be a non-empty list")
-        bs = [bucketization_from_payload(buckets) for buckets in raw]
-        self.stats.batch_requests += 1
-        loop = asyncio.get_running_loop()
-        series = await loop.run_in_executor(
-            self._executor,
-            lambda: engine.evaluate_many(bs, ks, model=instance),
-        )
-        return 200, {
-            "model": model,
-            "ks": sorted(set(ks)),
-            "exact": mode == "exact",
-            "series": [encode_series(s) for s in series],
-        }
-
-    async def _ep_safety(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, cparams, instance = self._resolve_model(payload, engine, tenant)
-        k = require(payload, "k", int)
-        c = require(payload, "c", (int, float))
-        if isinstance(c, bool):
-            raise BadRequest("field 'c' must be a number")
-        raw_buckets = require(payload, "buckets", list)
-        # threshold() validates c against the model's scale before any
-        # engine work (bad thresholds are a 400, not a computation).
-        threshold = engine.threshold(c, model=instance)
-        value = engine.peek_cached(
-            instance, k, signature_items_from_lists(raw_buckets)
-        )
-        if value is not None:
-            self.stats.cache_fast_hits += 1
-        else:
-            bucketization = bucketization_from_payload(raw_buckets)
-            value = await self._enqueue_single(
-                tenant, mode, model, cparams, instance, k, bucketization
-            )
-        return 200, {
-            "model": model,
-            "k": k,
-            "c": c,
-            "exact": mode == "exact",
-            "safe": bool(value < threshold),
+    @staticmethod
+    def _value_answer(ident: RequestIdentity, value) -> dict[str, Any]:
+        """The answer of a single or ``/safety`` request."""
+        if ident.kind == "safety":
+            return {
+                "model": ident.model,
+                "k": ident.k,
+                "c": ident.c,
+                "exact": ident.mode == "exact",
+                "safe": bool(value < ident.threshold),
+                "value": encode_value(value),
+            }
+        return {
+            "model": ident.model,
+            "k": ident.k,
+            "exact": ident.mode == "exact",
             "value": encode_value(value),
         }
 
-    async def _ep_compare(self, payload: dict):
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        ks = require_ks(payload)
-        models = payload.get("models", ["implication", "negation"])
-        if not isinstance(models, list) or not models:
-            raise BadRequest("'models' must be a non-empty list of names")
-        for name in models:
-            if not isinstance(name, str):
-                raise BadRequest("'models' must be a list of model names")
-        names = [self._model_name({"model": name}) for name in models]
-        if "params" in payload:
-            # One params object, applied to every listed model (the
-            # /compare use case is one parametric family across k).
-            params = decode_params(payload["params"])
-        elif tenant is not None and "models" not in payload:
-            params = self.tenants[tenant]["params"]
-        else:
-            params = {}
-        instances = []
-        for name in names:
-            try:
-                instances.append(engine.model(name, params))
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(
-                    f"invalid params for model {name!r}: {exc}"
-                ) from None
-        bucketization = bucketization_from_payload(
-            require(payload, "buckets", list)
-        )
-        loop = asyncio.get_running_loop()
-        comparison = await loop.run_in_executor(
-            self._executor,
-            lambda: engine.compare(bucketization, ks, models=instances),
-        )
-        return 200, {
-            "ks": sorted(set(ks)),
-            "exact": mode == "exact",
+    @staticmethod
+    def _batch_answer(ident: RequestIdentity, series: list) -> dict[str, Any]:
+        """The answer of a ``/disclosure`` batch, one series per
+        bucketization."""
+        return {
+            "model": ident.model,
+            "ks": list(ident.ks),
+            "exact": ident.mode == "exact",
+            "series": [encode_series(values) for values in series],
+        }
+
+    @staticmethod
+    def _compare_answer(
+        ident: RequestIdentity, engine: DisclosureEngine, series: list
+    ) -> dict[str, Any]:
+        """The answer of a ``/compare`` request, one series per model."""
+        return {
+            "ks": list(ident.ks),
+            "exact": ident.mode == "exact",
             "kernel": engine.kernel,
             "series": {
-                name: encode_series(series)
-                for name, series in comparison.items()
+                label: encode_series(values)
+                for label, values in zip(
+                    series_labels(m.name for m in ident.instances), series
+                )
             },
         }
 
@@ -880,17 +1111,21 @@ class DisclosureService(JsonHttpServer):
             self._republishers[key] = republisher
         return republisher
 
-    async def _ep_publish(self, payload: dict):
+    async def _ep_publish(self, path: str, body: bytes):
         """``POST /publish``: check and record the next version of a table.
 
         Runs on the same single engine-executor thread as every other
         engine call, so a publish serializes cleanly with coalesced
         batches and shares the engine cache with them.
         """
-        tenant = self._tenant(payload)
-        mode, engine = self._mode_and_engine(payload, tenant)
-        model, params, _cparams, _instance = self._resolve_threat(
-            payload, engine, tenant
+        payload = parse_json_body(body)
+        resolver = self.resolver
+        tenant = resolver.tenant(payload)
+        if tenant is not None:
+            self.stats.by_tenant[tenant] += 1
+        mode = resolve_mode(payload)
+        model, params, _cparams, _wire, _instance = resolver.threat(
+            payload, tenant
         )
         table = require(payload, "table", str)
         if not TABLE_NAME.match(table):
@@ -1059,60 +1294,6 @@ class DisclosureService(JsonHttpServer):
         return 200, {
             "ok": True,
             "uptime_s": round(time.monotonic() - self.stats.started, 3),
-        }
-
-    # ------------------------------------------------------------------
-    # In-process peek (the router's inproc fast path)
-    # ------------------------------------------------------------------
-    def peek_single(
-        self,
-        mode: str,
-        model: str,
-        k: Any,
-        signature_items,
-        params: Mapping[str, Any] | None = None,
-        tenant: str | None = None,
-    ) -> dict[str, Any] | None:
-        """A fully-encoded single ``/disclosure`` answer straight from the
-        cache, or ``None`` when anything short of a clean cached hit —
-        unknown mode/model/tenant, malformed ``k``, bad params, unseen
-        signature, cache miss — in which case the caller falls back to the
-        full dispatch path, which validates properly and computes (and
-        turns the validation failures into real 400s).
-
-        Bumps the same counters the endpoint's own fast path does
-        (``single_requests``, ``cache_fast_hits``, plus
-        :meth:`note_request`), so a shard's stats are indistinguishable
-        whether its router answered from the peek or dispatched.
-        """
-        if tenant is not None and tenant not in self.tenants:
-            return None
-        engine = self._engines_for(tenant).get(mode)
-        if engine is None or model not in available_adversaries():
-            return None
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            return None
-        try:
-            instance = engine.model(model, params)
-        except (TypeError, ValueError):
-            return None
-        cached = engine.peek_cached(instance, k, signature_items)
-        if cached is None:
-            return None
-        try:
-            encoded = encode_value(cached)
-        except ValueError:
-            return None
-        self.stats.single_requests += 1
-        self.stats.cache_fast_hits += 1
-        if tenant is not None:
-            self.stats.by_tenant[tenant] += 1
-        self.note_request("/disclosure", 200)
-        return {
-            "model": model,
-            "k": k,
-            "exact": mode == "exact",
-            "value": encoded,
         }
 
 

@@ -43,6 +43,7 @@ from repro.engine import (
     get_adversary,
     register_adversary,
 )
+from repro.engine import engine as engine_module
 from repro.errors import SearchError, UnknownAdversaryError
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,31 @@ class TestEngineCache:
         assert engine.stats.cache_hits == 0
         assert a != b
 
+    def test_save_cache_is_atomic(self, tmp_path, figure3, monkeypatch):
+        """A crash mid-dump leaves the previous file whole and loadable,
+        and no temporary file behind."""
+        path = tmp_path / "cache.pkl"
+        engine = DisclosureEngine(backend="serial")
+        engine.series(figure3, range(3))
+        assert engine.save_cache(path) == 3
+        engine.series(figure3, range(3, 6))
+
+        def crash(obj, handle, protocol=None):
+            handle.write(b"\x80\x05partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(engine_module.pickle, "dump", crash)
+        with pytest.raises(OSError, match="disk full"):
+            engine.save_cache(path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.pkl"]
+        restored = DisclosureEngine(backend="serial")
+        assert restored.load_cache(path) == 3
+        assert restored.series(figure3, range(3)) == engine.series(
+            figure3, range(3)
+        )
+        assert restored.stats.cache_hits == 3
+
     def test_series_fills_cache_for_single_evaluations(self, engine, figure3):
         series = engine.series(figure3, range(5))
         assert engine.stats.cache_hits == 0
@@ -313,6 +339,22 @@ class TestEngineBatch:
     def test_series_rejects_negative_k(self, engine, figure3):
         with pytest.raises(ValueError):
             engine.series(figure3, [-1, 0])
+
+    def test_series_keys_ascend_in_every_cache_state(self, figure3):
+        """Whatever subset of ``ks`` is cached beforehand, the series comes
+        back in ascending ``k`` order — the order the wire encodes, so one
+        request body always gets one byte string."""
+        ks = [3, 0, 2, 1]
+        for mask in range(1 << len(ks)):
+            engine = DisclosureEngine(backend="serial")
+            for bit, k in enumerate(ks):
+                if mask >> bit & 1:
+                    engine.evaluate(figure3, k)
+            assert list(engine.series(figure3, ks)) == [0, 1, 2, 3]
+            (many,) = engine.evaluate_many([figure3], ks)
+            assert list(many) == [0, 1, 2, 3]
+            for series in engine.compare(figure3, ks).values():
+                assert list(series) == [0, 1, 2, 3]
 
 
 class TestEngineQueries:

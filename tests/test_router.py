@@ -17,21 +17,30 @@ The router's contract (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
 from fractions import Fraction
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
 
 from repro.bucketization import Bucketization
 from repro.engine import DisclosureEngine, canonical_params, get_adversary
-from repro.service import ServiceClient, ServiceError, ShardRouter
+from repro.service import (
+    BackgroundService,
+    ServiceClient,
+    ServiceError,
+    ShardRouter,
+)
+from repro.service.httpbase import MAX_BODY_BYTES
 from repro.service.router import (
     BackgroundRouter,
     resolve_shard_mode,
@@ -652,6 +661,145 @@ class TestRouterEndpoints:
             ShardRouter(shards=2, forward_timeout=0)
         with pytest.raises(ValueError):
             ShardRouter(shards=2, health_interval=-1)
+
+
+# ---------------------------------------------------------------------------
+# One resolver: the same 400 (and the same answer bytes) in every topology
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def single_service():
+    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        yield bg
+
+
+def _post(host, path: str, body: bytes) -> tuple[int, bytes]:
+    connection = HTTPConnection(host.host, host.port, timeout=60)
+    try:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+#: Rejected lookup bodies, one defect or several (the first defect in the
+#: service's check order names the error).
+REJECTED = [
+    ("/disclosure", b"{not json"),
+    ("/disclosure", b"[1, 2]"),
+    ("/disclosure", {"buckets": [], "k": -1}),
+    ("/disclosure", {"buckets": [["a"]], "k": "x", "model": "martian"}),
+    ("/disclosure", {"k": 1, "exact": "yes", "tenant": 5}),
+    ("/disclosure", {"buckets": [[]], "k": 1, "witness": "no"}),
+    ("/disclosure", {"buckets": [["a", {"v": 1}]], "k": 1}),
+    (
+        "/disclosure",
+        {"buckets": [], "k": 1, "model": "probabilistic",
+         "params": {"bogus": 1}},
+    ),
+    ("/disclosure", {"buckets": [["a"]], "k": 1, "params": 5}),
+    ("/disclosure", {"bucketizations": [], "ks": [-1]}),
+    ("/disclosure", {"bucketizations": [[["a"]], []], "ks": [-1, 2]}),
+    ("/disclosure", {"bucketizations": [[["a"]]], "ks": [2, -3, -1]}),
+    ("/disclosure", {"bucketizations": "x", "ks": [], "model": "martian"}),
+    ("/safety", {"buckets": [], "k": 1, "c": 5}),
+    ("/safety", {"buckets": [["a"]], "k": -1, "c": 0.5}),
+    ("/safety", {"buckets": [], "k": -1, "c": 0.5}),
+    ("/safety", {"buckets": [["a"]], "k": 1, "c": True}),
+    ("/safety", {"buckets": [["a"]], "k": 1}),
+    ("/safety", {"buckets": [["a"]], "k": 1, "c": -1, "model": "weighted"}),
+    ("/compare", {"buckets": [], "ks": [1], "models": ["nope"]}),
+    ("/compare", {"buckets": [["a"]], "ks": [], "models": "x"}),
+    ("/compare", {"buckets": [["a"]], "ks": [1], "models": []}),
+    ("/compare", {"buckets": [["a"]], "ks": [1], "models": ["negation", 3]}),
+    ("/compare", {"buckets": [], "ks": [-1]}),
+    ("/compare", {"buckets": [["a"]], "ks": [-1, 1]}),
+    (
+        "/compare",
+        {"buckets": [["a"]], "ks": [1], "models": ["probabilistic"],
+         "params": {"confidence": "3/2"}},
+    ),
+]
+
+
+class TestOneResolver:
+    @pytest.mark.parametrize(
+        "path,body", REJECTED, ids=[f"{p}-{i}" for i, (p, _) in enumerate(REJECTED)]
+    )
+    def test_same_400_in_every_topology(self, router, single_service, path, body):
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+        expect = _post(single_service, path, data)
+        assert expect[0] == 400
+        memos = [single_service.service.resolver._memo, router.service.resolver._memo]
+        sizes = [len(memo) for memo in memos]
+        # Sent twice everywhere: a rejected body is never memoized, so the
+        # second answer is re-validated and still the same 400.
+        for host in (single_service, router):
+            assert _post(host, path, data) == expect
+            assert _post(host, path, data) == expect
+        assert [len(memo) for memo in memos] == sizes
+
+    def test_same_answer_bytes_in_every_topology(self, router, single_service):
+        """Cold, memoized and fully cached answers of every lookup kind are
+        byte-identical through a router (split batches included) and a
+        single service."""
+        bs = _random_bucketizations(6, seed=1717)
+        lists = [[list(b.sensitive_values) for b in x.buckets] for x in bs]
+        bodies = [
+            ("/disclosure", {"buckets": lists[0], "k": 2, "model": "negation"}),
+            ("/disclosure", {"bucketizations": lists, "ks": [3, 0, 2]}),
+            (
+                "/disclosure",
+                {"bucketizations": lists[:3], "ks": [1, 2], "exact": True},
+            ),
+            ("/safety", {"buckets": lists[1], "k": 1, "c": 0.8}),
+            (
+                "/compare",
+                {"buckets": lists[2], "ks": [2, 1],
+                 "models": ["negation", "negation", "implication"]},
+            ),
+        ]
+        for _round in range(3):
+            for path, body in bodies:
+                data = json.dumps(body).encode()
+                expect = _post(single_service, path, data)
+                assert expect[0] == 200
+                assert _post(router, path, data) == expect
+        with router.client() as client:
+            totals = client.stats()["totals"]
+        assert totals["series_fast_hits"] >= 3
+
+
+class TestOversizedBody:
+    @staticmethod
+    def _declared(host, length: str) -> bytes:
+        """Send only a request head declaring ``length``; read until the
+        server closes the connection (a hang here is a failure)."""
+        with socket.create_connection((host.host, host.port), timeout=30) as sock:
+            sock.sendall(
+                f"POST /disclosure HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        return data
+
+    def test_over_limit_is_413_and_closes(self, router, single_service):
+        for host in (single_service, router):
+            reply = self._declared(host, str(MAX_BODY_BYTES + 1))
+            assert reply.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+            assert b"Connection: close" in reply
+            assert b"body too large" in reply
+
+    @pytest.mark.parametrize("length", ["-1", "twelve"])
+    def test_bad_length_stays_400(self, router, single_service, length):
+        for host in (single_service, router):
+            reply = self._declared(host, length)
+            assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"invalid Content-Length" in reply
 
 
 # ---------------------------------------------------------------------------

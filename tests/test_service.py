@@ -438,6 +438,82 @@ class TestMalformedRequests:
         )
 
 
+def _raw_bytes(host: str, port: int, path: str, body: bytes) -> tuple[int, bytes]:
+    connection = HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+class TestOneBodyOneAnswer:
+    """A lookup body gets one byte string whatever the cache holds: cold,
+    partly warm (the engine path merges cached and computed ``k``), and
+    fully cached (answered on the event loop)."""
+
+    @pytest.mark.parametrize(
+        "path,body,warm",
+        [
+            (
+                "/disclosure",
+                {
+                    "bucketizations": [
+                        [["o", "o", "b", "w"], ["o", "b", "x", "y", "z"]],
+                        [["q", "q", "q", "r"]],
+                    ],
+                    "ks": [3, 1, 2, 1],
+                    "model": "negation",
+                },
+                {"buckets": [["o", "o", "b", "w"], ["o", "b", "x", "y", "z"]],
+                 "k": 2, "model": "negation"},
+            ),
+            (
+                "/compare",
+                {
+                    "buckets": [["o", "o", "b", "w"], ["c", "c", "d", "e"]],
+                    "ks": [4, 2, 3],
+                    "models": ["implication", "negation", "implication"],
+                },
+                {"buckets": [["o", "o", "b", "w"], ["c", "c", "d", "e"]],
+                 "k": 3},
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_same_bytes_cold_partly_warm_and_cached(self, path, body, warm, exact):
+        body, warm = dict(body, exact=exact), dict(warm, exact=exact)
+        data = json.dumps(body).encode()
+        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+            cold = _raw_bytes(bg.host, bg.port, path, data)
+            assert cold[0] == 200
+            with bg.client() as client:
+                assert client.stats()["service"]["series_fast_hits"] == 0
+        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+            status, _ = _raw_bytes(
+                bg.host, bg.port, "/disclosure", json.dumps(warm).encode()
+            )
+            assert status == 200
+            assert _raw_bytes(bg.host, bg.port, path, data) == cold
+            assert _raw_bytes(bg.host, bg.port, path, data) == cold
+            with bg.client() as client:
+                service = client.stats()["service"]
+            assert service["series_fast_hits"] == 1
+            assert service["cache_fast_hits"] == 0
+            assert service["memo_hits"] == 1
+        answer = json.loads(cold[1])
+        assert answer["ks"] == sorted(set(body["ks"]))
+        series = answer["series"]
+        for one in series.values() if path == "/compare" else series:
+            assert list(one) == [str(k) for k in answer["ks"]]
+        if path == "/compare":
+            assert list(series) == ["implication", "negation", "implication#2"]
+            assert "kernel" in answer
+
+
 # ---------------------------------------------------------------------------
 # Keep-alive connections and the pooled client
 # ---------------------------------------------------------------------------
