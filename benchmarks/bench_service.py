@@ -167,7 +167,6 @@ def _multi_tenant_bench(bs: list[Bucketization]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         prefix = Path(tmp) / "fleet"
         with BackgroundService(
-            backend="serial",
             batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
@@ -289,7 +288,7 @@ def test_service_latency_throughput_coalescing(benchmark):
     bs = _workload()
     repeats = 20 if tiny_mode() else 200
 
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(batch_window=0.0) as bg:
         client = bg.client()
 
         # Cold: the very first question this service has ever seen.
@@ -359,7 +358,7 @@ def test_service_latency_throughput_coalescing(benchmark):
     # Concurrent identical singles against a coalescing window: the
     # service must serve everyone from (at most a couple of) engine
     # batches, bit-identically.
-    with BackgroundService(backend="serial", batch_window=0.2) as bg:
+    with BackgroundService(batch_window=0.2) as bg:
         host, port = bg.host, bg.port
         barrier = threading.Barrier(CONCURRENT_CLIENTS)
         concurrent_values: list = [None] * CONCURRENT_CLIENTS
@@ -386,12 +385,12 @@ def test_service_latency_throughput_coalescing(benchmark):
     # HAMMER_THREADS clients sweep the fresh question list (k = K+3).
     hammer_passes = 2 if tiny_mode() else 4
     hammer_requests = HAMMER_THREADS * hammer_passes * len(bs)
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(batch_window=0.0) as bg:
         single_elapsed, single_answers, _ = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes
         )
     with BackgroundRouter(
-        shards=SHARDS, shard_mode="auto", backend="serial", batch_window=0.0
+        shards=SHARDS, shard_mode="auto", batch_window=0.0
     ) as bg:
         sharded_elapsed, sharded_answers, sharded_latencies = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes

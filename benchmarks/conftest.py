@@ -7,9 +7,10 @@ The benchmark suite regenerates every evaluation artifact of the paper
 
 Reported series are attached to each benchmark's ``extra_info`` (visible with
 ``--benchmark-json``) and asserted structurally in the benchmark bodies. The
-JSON-emitting benchmarks (``bench_engine``, ``bench_parallel``) also write
-``BENCH_*.json`` artifacts — set ``BENCH_TINY=1`` (as the CI smoke job does)
-to shrink their workloads to seconds.
+JSON-emitting benchmarks (``bench_engine``, ``bench_service``,
+``bench_publish``) also write ``BENCH_*.json`` artifacts — set
+``BENCH_TINY=1`` (as the CI smoke job does) to shrink their workloads to
+seconds.
 """
 
 from __future__ import annotations

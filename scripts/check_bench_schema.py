@@ -12,7 +12,7 @@ Two modes:
     Validate each artifact against its required key set and invariants::
 
         python scripts/check_bench_schema.py BENCH_engine.json \\
-            BENCH_parallel.json BENCH_backend.json BENCH_service.json
+            BENCH_service.json BENCH_publish.json
 
 ``--compare BASELINE.json FRESH.json``
     The CI regression gate: validate FRESH as above, then require that
@@ -53,31 +53,6 @@ REQUIRED = {
         "evictions",
         "stats",
         "kernel",
-    },
-    "parallel": ENVELOPE
-    | {
-        "serial_s",
-        "parallel_s",
-        "speedup_vs_serial",
-        "workers",
-        "cores_available",
-        "nodes",
-        "ks",
-        "identical_results",
-        "parallel_tasks",
-        "cache_hit_rate",
-    },
-    "backend": ENVELOPE
-    | {
-        "workers",
-        "cores_available",
-        "batches",
-        "tasks_per_batch",
-        "ks",
-        "backends",
-        "identical_results",
-        "ship_once_per_worker",
-        "steady_speedup_vs_pool",
     },
     "service": ENVELOPE
     | {
@@ -121,15 +96,6 @@ PUBLISH_MODE_KEYS = {
     "full_wall_ms",
     "incremental_wall_ms",
     "speedup",
-}
-
-#: Per-backend keys required inside the "backend" record's ``backends`` map.
-BACKEND_NAMES = {"serial", "pool", "persistent"}
-BACKEND_KEYS = {"cold_s", "steady_s", "per_batch_s"}
-PERSISTENT_KEYS = BACKEND_KEYS | {
-    "ship_sizes",
-    "unique_signatures",
-    "max_workers_used",
 }
 
 #: Keys required inside the engine record's ``kernel`` section, and the
@@ -222,12 +188,8 @@ def check(path: str) -> list[str]:
     missing = sorted(required - set(record))
     if missing:
         errors.append(f"{path}: missing keys {missing}")
-    if name == "parallel" and record.get("identical_results") is not True:
-        errors.append(f"{path}: parallel results did not match serial")
     if name == "engine":
         errors.extend(_check_engine(path, record))
-    if name == "backend":
-        errors.extend(_check_backend(path, record))
     if name == "service":
         errors.extend(_check_service(path, record))
     if name == "publish":
@@ -362,41 +324,6 @@ def _check_service(path: str, record: dict) -> list[str]:
                 f"{path}: sharded throughput {sharded_rps} req/s below the "
                 f"single-service floor of {single_rps} req/s"
             )
-    return errors
-
-
-def _check_backend(path: str, record: dict) -> list[str]:
-    """The backend record's invariants: every backend reported with its
-    latency keys, the persistent delta-protocol evidence present, and the
-    two headline booleans actually true."""
-    errors: list[str] = []
-    backends = record.get("backends")
-    if not isinstance(backends, dict):
-        return [f"{path}: 'backends' must be an object"]
-    missing_backends = sorted(BACKEND_NAMES - set(backends))
-    if missing_backends:
-        errors.append(f"{path}: missing backends {missing_backends}")
-    for backend_name, entry in backends.items():
-        if not isinstance(entry, dict):
-            errors.append(
-                f"{path}: backends.{backend_name} must be an object"
-            )
-            continue
-        required = (
-            PERSISTENT_KEYS if backend_name == "persistent" else BACKEND_KEYS
-        )
-        missing = sorted(required - set(entry))
-        if missing:
-            errors.append(
-                f"{path}: backends.{backend_name} missing keys {missing}"
-            )
-    if record.get("identical_results") is not True:
-        errors.append(f"{path}: backend results did not match serial")
-    if record.get("ship_once_per_worker") is not True:
-        errors.append(
-            f"{path}: delta protocol shipped a signature more than once "
-            f"per worker"
-        )
     return errors
 
 

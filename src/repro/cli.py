@@ -45,10 +45,10 @@ analysis commands (``disclosure``, ``search``, ``breach``, ``witness``)
 accept ``--adversary`` with any model name from the engine registry
 (:func:`repro.engine.base.available_adversaries`). ``disclosure``,
 ``search``, ``fig5`` and ``fig6`` additionally take the engine knobs
-``--workers`` (worker count for batch evaluation), ``--backend``
-(``serial`` / ``pool`` / ``persistent`` execution backend), ``--kernel``
-(``auto`` / ``numpy`` / ``scalar`` MINIMIZE1/MINIMIZE2 kernel for the float
-path) and ``--cache-limit`` (LRU bound on the shared cache); ``disclosure
+``--workers`` (worker-process count for batch evaluation; above 1, batches
+run on persistent worker processes), ``--kernel`` (``auto`` / ``numpy`` /
+``scalar`` MINIMIZE1/MINIMIZE2 kernel for the float path) and
+``--cache-limit`` (LRU bound on the shared cache); ``disclosure
 --cache-stats`` prints the cache's hit/parallel-hit/miss/eviction counters
 and the active kernel.
 """
@@ -64,12 +64,7 @@ from repro.core.negation import NegationWitness
 from repro.core.safety import SafetyChecker
 from repro.core.sampling import sample_probability
 from repro.core.witness import WorstCaseWitness
-from repro.engine import (
-    CachePolicy,
-    DisclosureEngine,
-    available_adversaries,
-    available_backends,
-)
+from repro.engine import CachePolicy, DisclosureEngine, available_adversaries
 from repro.knowledge.parser import parse_atom, parse_conjunction
 from repro.data.adult import ADULT_SCHEMA, ADULT_SIZE
 from repro.data.hierarchies import adult_hierarchies
@@ -139,9 +134,9 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         help=(
-            "process-pool size for batch disclosure evaluation; parallelizes "
-            "multi-node sweeps (search, fig6), no effect on single-node "
-            "commands (1 = serial)"
+            "worker processes for batch disclosure evaluation; parallelizes "
+            "multi-node sweeps (search, fig6) on persistent workers, no "
+            "effect on single-node commands (1 = in-process)"
         ),
     )
     parser.add_argument(
@@ -150,17 +145,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="bound the engine's shared cache to N entries (LRU eviction)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default="pool",
-        help=(
-            "execution backend for batch evaluation: 'serial' never spawns "
-            "processes, 'pool' starts a fresh process pool per batch, "
-            "'persistent' keeps long-lived workers that receive only "
-            "newly seen signatures per batch (default pool)"
-        ),
     )
     parser.add_argument(
         "--kernel",
@@ -178,14 +162,13 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 def _build_engine(args: argparse.Namespace) -> DisclosureEngine:
     """One engine per command, configured from the shared engine flags.
 
-    Commands use the engine as a context manager so a persistent backend's
-    worker processes are shut down before exit.
+    Commands use the engine as a context manager so any worker processes
+    are shut down before exit.
     """
     policy = CachePolicy(max_entries=getattr(args, "cache_limit", None))
     return DisclosureEngine(
         policy=policy,
         workers=getattr(args, "workers", 1),
-        backend=getattr(args, "backend", "pool"),
         kernel=getattr(args, "kernel", "auto"),
     )
 
@@ -464,10 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_engine_options(p_serve)
-    # A service is the persistent backend's home workload — but the backend
-    # only engages when workers > 1 (the engine's serial path wins
-    # otherwise), so serve's defaults enable both together.
-    p_serve.set_defaults(backend="persistent", workers=2)
+    # A service is the persistent workers' home workload: each engine runs
+    # two unless --workers says otherwise.
+    p_serve.set_defaults(workers=2)
 
     p_lint = sub.add_parser(
         "lint",
@@ -798,7 +780,6 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
             port=args.port,
             shards=args.shards,
             shard_mode=args.shard_mode,
-            backend=args.backend,
             workers=args.workers,
             kernel=args.kernel,
             cache_limit=args.cache_limit,
@@ -814,7 +795,6 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
         service = DisclosureService(
             host=args.host,
             port=args.port,
-            backend=args.backend,
             workers=args.workers,
             kernel=args.kernel,
             cache_limit=args.cache_limit,
@@ -844,21 +824,21 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
         if service.shard_mode == "inproc":
             print(
                 f"router: {args.shards} in-process shards; "
-                f"backend={args.backend}, workers={args.workers} per shard",
+                f"workers={args.workers} per shard",
                 flush=True,
             )
         else:
             ports = [shard.port for shard in service.shards]
             print(
                 f"router: {args.shards} shards on ports {ports}; "
-                f"backend={args.backend}, workers={args.workers} per shard",
+                f"workers={args.workers} per shard",
                 flush=True,
             )
     else:
         loaded = service.loaded_entries
         print(
             f"cache: loaded {loaded['float']} float / {loaded['exact']} exact "
-            f"entries; backend={args.backend}, workers={args.workers}",
+            f"entries; workers={args.workers}",
             flush=True,
         )
 

@@ -5,13 +5,11 @@ language; this subsystem makes that parameter a first-class runtime object.
 
 - :mod:`repro.engine.plane` — the :class:`SignaturePlane` (bucket signatures
   interned to dense ids; any bucketization becomes a compact id-multiset —
-  the single cache key and unit of work), :class:`CachePolicy` (LRU bound,
-  sweep pinning), and the deterministic process-pool executor behind
-  parallel batch evaluation.
-- :mod:`repro.engine.backend` — the :class:`ExecutionBackend` abstraction
-  (``serial`` in-process, ``pool`` per-call process pool, ``persistent``
-  long-lived workers with incremental signature shipping) behind every
-  parallel batch.
+  the single cache key and unit of work) and :class:`CachePolicy` (LRU
+  bound, sweep pinning).
+- :mod:`repro.engine.backend` — :class:`PersistentBackend`, the long-lived
+  worker processes with incremental signature shipping that run every
+  parallel batch, behind the :class:`ExecutionBackend` type.
 - :mod:`repro.engine.base` — the :class:`AdversaryModel` protocol, the
   string-keyed registry, and the :class:`EngineContext` shared state.
 - :mod:`repro.engine.models` — the five built-in models (``implication``,
@@ -21,10 +19,10 @@ language; this subsystem makes that parameter a first-class runtime object.
   worst-case adversary (``distribution``) as a one-file registry plugin.
 - :mod:`repro.engine.engine` — the :class:`DisclosureEngine`: one bounded
   LRU cache on the signature plane shared across *all* models, batch
-  evaluation over many ``k`` / bucketizations / models (optionally over a
-  process pool with cache warm-back), cache persistence, uniform
-  exact-float handling and witness reconstruction, plus
-  adversary-parametric lattice search.
+  evaluation over many ``k`` / bucketizations / models (with
+  ``workers > 1``, on persistent workers with cache warm-back), cache
+  persistence, uniform exact-float handling and witness reconstruction,
+  plus adversary-parametric lattice search.
 
 Every consumer in this package — :class:`~repro.core.safety.SafetyChecker`,
 greedy suppression, Incognito/lattice search, the Figure 5/6 experiments and
@@ -37,10 +35,6 @@ from repro.engine.backend import (
     BackendError,
     ExecutionBackend,
     PersistentBackend,
-    PoolBackend,
-    SerialBackend,
-    available_backends,
-    create_backend,
 )
 from repro.engine.base import (
     AdversaryModel,
@@ -74,11 +68,7 @@ __all__ = [
     "CachePolicy",
     "BackendError",
     "ExecutionBackend",
-    "SerialBackend",
-    "PoolBackend",
     "PersistentBackend",
-    "create_backend",
-    "available_backends",
     "register_adversary",
     "get_adversary",
     "available_adversaries",

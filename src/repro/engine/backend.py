@@ -1,35 +1,26 @@
-"""Execution backends: how the engine fans batch evaluation out.
+"""Execution backends: where the engine's parallel batches run.
 
 :meth:`~repro.engine.engine.DisclosureEngine.evaluate_many` (and the lattice
 prewarm behind ``search --workers``) always reduces a batch to the *unique
-uncached* plane keys; an :class:`ExecutionBackend` decides how those keys are
-computed:
+uncached* plane keys. When the engine's effective ``workers`` is above 1 and
+at least two such keys remain, an :class:`ExecutionBackend` computes them;
+otherwise the engine evaluates the batch in-process through its own cache
+and shared solver.
 
-``serial``
-    In-process, one key at a time. No processes are ever spawned; with this
-    backend the engine ignores ``workers`` and evaluates every batch through
-    its own cache and shared solver. The right choice on one core, under
-    fork restrictions, or when determinism of *timing* matters (profiling).
-``pool``
-    A fresh :class:`~concurrent.futures.ProcessPoolExecutor` per call —
-    exactly the PR-2 behavior, kept as the compatible default. Every call
-    pays process spawn and ships full raw signatures; fine for one big
-    sweep, wasteful for many small batches.
-``persistent``
-    Long-lived worker processes, each holding a worker-resident
-    :class:`~repro.engine.plane.SignaturePlane` mirror. Batches ship only
-    the *newly interned* signatures since the worker's last batch (a delta
-    over the plane's dense ids) plus tiny id-multiset tasks, so in steady
-    state each signature crosses the process boundary at most once per
-    worker. Workers survive across calls (no per-call fork), respawn
-    transparently after a crash, and can shut down after an idle timeout;
-    :meth:`ExecutionBackend.close` (or the engine's context manager) ends
-    them deterministically.
+:class:`PersistentBackend` is the one implementation: long-lived worker
+processes, each holding a worker-resident mirror of the engine's
+:class:`~repro.engine.plane.SignaturePlane`. Batches ship only the *newly
+interned* signatures since the worker's last batch (a delta over the plane's
+dense ids) plus tiny id-multiset tasks, so in steady state each signature
+crosses the process boundary at most once per worker. Workers survive
+across calls (no per-call fork), respawn transparently after a crash, and
+can shut down after an idle timeout; :meth:`ExecutionBackend.close` (or the
+engine's context manager) ends them deterministically.
 
-All three return bit-for-bit the serial path's values: each plane key is an
-independent, deterministic unit of work, and the worker-side evaluation is
-the same ``model.series`` on a synthetically rebuilt bucketization that the
-``pool`` executor has always used.
+The workers return bit-for-bit the serial path's values: each plane key is
+an independent, deterministic unit of work, and the worker-side evaluation
+is the same ``model.series`` on a bucketization rebuilt from the shipped
+signature counts, under the engine's already-resolved kernel.
 """
 
 from __future__ import annotations
@@ -37,24 +28,12 @@ from __future__ import annotations
 import abc
 import threading
 from collections.abc import Sequence
-from typing import Any, ClassVar
+from typing import ClassVar
 
-from repro.engine.plane import (
-    SignaturePlane,
-    evaluate_raw_multisets,
-    parallel_series,
-)
+from repro.engine.plane import SignaturePlane
 from repro.errors import ReproError
 
-__all__ = [
-    "BackendError",
-    "ExecutionBackend",
-    "SerialBackend",
-    "PoolBackend",
-    "PersistentBackend",
-    "create_backend",
-    "available_backends",
-]
+__all__ = ["BackendError", "ExecutionBackend", "PersistentBackend"]
 
 
 class BackendError(ReproError):
@@ -63,21 +42,19 @@ class BackendError(ReproError):
 
 
 class ExecutionBackend(abc.ABC):
-    """How a batch of unique plane keys gets evaluated.
+    """How a batch of unique plane keys gets evaluated out of process.
+
+    :class:`PersistentBackend` is the implementation the engine builds;
+    the type exists so a caller can inject its own (a ``spawn``-context
+    :class:`PersistentBackend`, or a test double).
 
     Attributes
     ----------
     name:
-        Registry key (``"serial"``, ``"pool"``, ``"persistent"``) — also the
-        CLI ``--backend`` choice.
-    parallel:
-        Whether :meth:`run` fans out to worker processes. The engine skips
-        the fan-out path entirely (and never counts ``parallel_tasks``) for
-        backends that declare False.
+        The label ``/stats`` reports for the backend.
     """
 
     name: ClassVar[str]
-    parallel: ClassVar[bool] = True
 
     @abc.abstractmethod
     def run(
@@ -110,40 +87,6 @@ class ExecutionBackend(abc.ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class SerialBackend(ExecutionBackend):
-    """Never spawn: evaluate every key in-process.
-
-    :meth:`run` exists so a :class:`SerialBackend` is still a drop-in for
-    direct callers, but the engine short-circuits on ``parallel = False``
-    and routes batches through its own cache-and-shared-solver path instead
-    (strictly better: cross-key solver reuse).
-    """
-
-    name: ClassVar[str] = "serial"
-    parallel: ClassVar[bool] = False
-
-    def run(self, model, plane, plane_keys, ks, *, exact, workers, kernel="auto"):
-        raw = [plane.decode(key) for key in plane_keys]
-        return evaluate_raw_multisets(model, raw, sorted(set(ks)), exact, kernel)
-
-
-class PoolBackend(ExecutionBackend):
-    """A fresh process pool per call (the PR-2 executor, unchanged).
-
-    Ships every key as full raw signatures and pays pool spawn each call;
-    kept as the compatible default and as the baseline the persistent
-    backend is benchmarked against.
-    """
-
-    name: ClassVar[str] = "pool"
-
-    def run(self, model, plane, plane_keys, ks, *, exact, workers, kernel="auto"):
-        raw = [plane.decode(key) for key in plane_keys]
-        return parallel_series(
-            model, raw, ks, exact=exact, workers=workers, kernel=kernel
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +189,7 @@ class PersistentBackend(ExecutionBackend):
     mp_context:
         A :mod:`multiprocessing` context (or context name); default is the
         platform default (``fork`` on Linux — cheap spawn, and plugin
-        models need not be importable, matching the pool executor).
+        models need not be importable).
 
     Notes
     -----
@@ -262,7 +205,7 @@ class PersistentBackend(ExecutionBackend):
     batches — with :attr:`batches_run` / :attr:`signatures_shipped`
     aggregating the full history) — the observable behind the delta
     protocol's "each signature at most once per worker" guarantee, asserted
-    in ``benchmarks/bench_backend.py``.
+    in ``tests/test_backend.py``.
 
     One backend may serve several engines: plane ids are plane-local, so a
     batch arriving from a different plane than a worker's mirror tracks
@@ -467,42 +410,3 @@ class PersistentBackend(ExecutionBackend):
 
 class _WorkerDied(Exception):
     """Internal: a worker process or its pipe went away mid-batch."""
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-_BACKENDS: dict[str, type[ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    PoolBackend.name: PoolBackend,
-    PersistentBackend.name: PersistentBackend,
-}
-
-
-def create_backend(
-    backend: str | ExecutionBackend, **kwargs: Any
-) -> ExecutionBackend:
-    """Resolve a backend name (or pass through an instance), forwarding
-    ``kwargs`` to the constructor.
-
-    Raises
-    ------
-    ValueError
-        If the name is not one of :func:`available_backends`.
-    """
-    if isinstance(backend, ExecutionBackend):
-        if kwargs:
-            raise ValueError("kwargs are only valid with a backend *name*")
-        return backend
-    cls = _BACKENDS.get(backend)
-    if cls is None:
-        raise ValueError(
-            f"unknown execution backend {backend!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-    return cls(**kwargs)
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (the CLI's ``--backend`` choices)."""
-    return tuple(sorted(_BACKENDS))

@@ -206,7 +206,7 @@ class AdversaryModel(abc.ABC):
         When True (the default — every closed-form and DP model in the
         paper), the engine keys this model on the interned signature plane
         and may evaluate it in worker processes on synthetically rebuilt
-        bucketizations (:func:`~repro.engine.plane.evaluate_raw_multisets`).
+        bucketizations (:class:`~repro.engine.backend.PersistentBackend`).
         Models sensitive to more — Monte Carlo draws that depend on value
         order, cost weights attached to concrete values — return False and
         are cached under :meth:`cache_key` and evaluated serially instead.

@@ -15,10 +15,10 @@ The engine owns three things no single legacy function had:
 2. **Batch APIs, optionally parallel.** :meth:`DisclosureEngine.series`
    evaluates many ``k`` at the cost the model can manage;
    :meth:`DisclosureEngine.evaluate_many` runs a series over many
-   bucketizations — serially through the cache, or chunked by *unique*
-   plane key over an :class:`~repro.engine.backend.ExecutionBackend`
-   (``workers > 1``: a per-call process pool or persistent workers with
-   incremental signature shipping) with deterministic merge order and
+   bucketizations — serially through the cache, or, with ``workers > 1``,
+   chunked by *unique* plane key over persistent worker processes
+   (:class:`~repro.engine.backend.PersistentBackend`, which ships each
+   signature to a worker once) with deterministic merge order and
    warm-back, so parallel results populate the shared cache and are
    bit-for-bit identical to the serial path;
    :meth:`DisclosureEngine.compare` runs many *models* over one
@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Any
 
 from repro.bucketization.bucketization import Bucketization
-from repro.engine.backend import ExecutionBackend, create_backend
+from repro.engine.backend import ExecutionBackend, PersistentBackend
 from repro.engine.base import (
     AdversaryModel,
     EngineContext,
@@ -173,20 +173,23 @@ class DisclosureEngine:
         A :class:`~repro.engine.plane.CachePolicy` bounding the shared
         cache; the default is unbounded with no sweep pinning.
     workers:
-        Default process-pool size for :meth:`evaluate_many` and the engine's
-        lattice-sweep prewarm (1 = serial; the per-call ``workers`` argument
-        overrides it).
+        Default worker-process count for :meth:`evaluate_many` and the
+        engine's lattice-sweep prewarm (1 = in-process; the per-call
+        ``workers`` argument overrides it). A batch with an effective
+        ``workers > 1``, a signature-decomposable model and at least two
+        uncached plane keys runs on persistent worker processes; anything
+        else runs in-process.
     backend:
-        How batches fan out: a name from
-        :func:`~repro.engine.backend.available_backends` (``"serial"``,
-        ``"pool"``, ``"persistent"``) or an
-        :class:`~repro.engine.backend.ExecutionBackend` instance. The
-        default ``"pool"`` is the legacy per-call process pool; with
-        ``"serial"`` the engine never spawns regardless of ``workers``;
-        ``"persistent"`` keeps long-lived workers with incremental
-        signature shipping. Long-lived backends hold real processes —
-        call :meth:`close` (or use the engine as a context manager) when
-        done; the engine closes whichever backend it holds, including a
+        ``"persistent"`` (the default) runs those batches on a
+        :class:`~repro.engine.backend.PersistentBackend` the engine builds
+        itself: in the constructor when ``workers > 1``, otherwise on the
+        first batch a per-call ``workers > 1`` sends out (building one
+        imports :mod:`multiprocessing`, which an in-process engine never
+        needs). ``"serial"`` never sends a batch out, whatever
+        ``workers`` says. An :class:`~repro.engine.backend.ExecutionBackend`
+        instance is used as given. Worker processes are real — call
+        :meth:`close` (or use the engine as a context manager) when done;
+        the engine closes whichever backend it holds, including a
         caller-provided instance.
     kernel:
         MINIMIZE1/MINIMIZE2 kernel selector (``"auto"``, ``"numpy"``,
@@ -216,13 +219,27 @@ class DisclosureEngine:
         exact: bool = False,
         policy: CachePolicy | None = None,
         workers: int = 1,
-        backend: str | ExecutionBackend = "pool",
+        backend: str | ExecutionBackend = "persistent",
         kernel: str = "auto",
     ) -> None:
         self.exact = exact
         self.policy = policy if policy is not None else CachePolicy()
         self.workers = max(1, int(workers))
-        self.backend = create_backend(backend)
+        #: The backend batches run on; ``None`` until one is needed (and
+        #: for good under ``backend="serial"``).
+        self.backend: ExecutionBackend | None
+        if isinstance(backend, ExecutionBackend):
+            self.backend = backend
+        elif backend == "persistent":
+            self.backend = PersistentBackend() if self.workers > 1 else None
+        elif backend == "serial":
+            self.backend = None
+        else:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected 'persistent', "
+                "'serial' or an ExecutionBackend instance"
+            )
+        self._fans_out = backend != "serial"
         self.plane = SignaturePlane()
         self.context = EngineContext(exact=exact, plane=self.plane, kernel=kernel)
         self.stats = EngineStats(kernel=self.context.kernel)
@@ -235,11 +252,12 @@ class DisclosureEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the execution backend's long-lived resources (worker
-        processes for ``persistent``; a no-op for ``serial``/``pool``).
-        The engine itself stays usable — a closed persistent backend
-        respawns its workers on the next parallel batch."""
-        self.backend.close()
+        """Stop the backend's worker processes, if the engine holds a
+        backend (it never builds one to close it). The engine stays usable
+        — a closed backend respawns its workers on the next parallel
+        batch."""
+        if self.backend is not None:
+            self.backend.close()
 
     def __enter__(self) -> DisclosureEngine:
         return self
@@ -471,11 +489,15 @@ class DisclosureEngine:
                 f"cache was saved with exact={payload.get('exact')} but this "
                 f"engine has exact={self.exact}; arithmetic modes must match"
             )
-        loaded = 0
+        # Decode every entry before inserting any: a file that fails part
+        # way leaves the cache as it was.
+        entries = []
         for name, params, k, tag, bucket_key, value in payload["entries"]:
             if tag == "plane":
                 bucket_key = self.plane.encode_counts(bucket_key)
-            key = (name, params, k, (tag, bucket_key))
+            entries.append(((name, params, k, (tag, bucket_key)), value))
+        loaded = 0
+        for key, value in entries:
             if key not in self._cache:
                 self._cache_put(key, value, pin=False)
                 loaded += 1
@@ -560,26 +582,27 @@ class DisclosureEngine:
         engine's cache and solver — the batched form a lattice sweep or an
         incremental republication wants.
 
-        With ``workers > 1`` (default: the engine's ``workers``), a parallel
-        execution backend, and a signature-decomposable model, the *unique
-        uncached* plane keys are evaluated by the engine's
-        :class:`~repro.engine.backend.ExecutionBackend` — each distinct
+        With ``workers > 1`` (default: the engine's ``workers``) and a
+        signature-decomposable model, the *unique uncached* plane keys are
+        evaluated by the engine's worker processes — each distinct
         signature multiset is computed exactly once — and warm-backed into
         the shared cache before the per-bucketization assembly. Results are
         bit-for-bit identical to the serial path (deterministic chunking and
         merge order; same canonical signature order inside each worker).
-        Serial fallback: ``workers <= 1``, the ``serial`` backend,
-        non-decomposable models (their answers depend on more than the
-        plane ships), or an unavailable/broken backend.
+        In-process instead: ``workers <= 1``, ``backend="serial"``, fewer
+        than two uncached plane keys, non-decomposable models (their
+        answers depend on more than the plane ships), or a failed backend.
         """
         bs = list(bucketizations)
         ks = sorted(set(ks))
+        if ks and ks[0] < 0:
+            raise ValueError(f"k must be non-negative, got {ks[0]}")
         m = self.model(model)
         workers = self.workers if workers is None else max(1, int(workers))
         warmed: dict[tuple, dict[int, object]] = {}
         if (
             workers > 1
-            and self.backend.parallel
+            and self._fans_out
             and len(bs) > 1
             and ks
             and m.signature_decomposable()
@@ -611,7 +634,9 @@ class DisclosureEngine:
         m: AdversaryModel,
         workers: int,
     ) -> dict[tuple, dict[int, object]]:
-        """Compute the unique uncached plane keys on the execution backend.
+        """Compute the unique uncached plane keys on the execution backend,
+        building the engine's :class:`PersistentBackend` first if it has
+        none yet.
 
         Returns ``{plane key: series}`` for the computed multisets (empty on
         any backend failure, counted in ``stats.backend_fallbacks`` — the
@@ -629,6 +654,8 @@ class DisclosureEngine:
                 pending[plane_key] = None
         if len(pending) < 2:
             return {}  # nothing (or one series) to fan out; serial is cheaper
+        if self.backend is None:
+            self.backend = PersistentBackend()
         try:
             all_series = self.backend.run(
                 m,
@@ -824,23 +851,25 @@ class DisclosureEngine:
         """All minimal (c,k)-safe lattice nodes under ``model`` (the paper's
         modified-Incognito sweep, with this engine's cache behind it).
 
-        With ``workers > 1``, a parallel backend, and a
-        signature-decomposable model, every node's disclosure is prewarmed
-        in parallel on the execution backend
+        With ``workers > 1`` and a signature-decomposable model, every
+        node's disclosure is prewarmed on the engine's worker processes
         before the sweep, which then runs on pure cache hits; the prewarm's
         bucketizations are handed to the predicate so no node is bucketized
         twice. (The prewarm trades the sweep's monotonicity pruning for
         parallelism — it evaluates all nodes — so it pays off when per-node
-        work dominates, the common case for large tables.) Non-decomposable
-        models, and a failed pool, skip the prewarm and keep the ordinary
-        pruned serial sweep.
+        work dominates, the common case for large tables.)
+        ``backend="serial"`` and non-decomposable models skip the prewarm,
+        and a failed backend falls back; both keep the ordinary pruned
+        serial sweep.
         """
         from repro.generalization.search import find_minimal_safe_nodes
 
+        if k < 0:
+            raise ValueError(f"k must be non-negative, got {k}")
         m = self.model(model)
         workers = self.workers if workers is None else max(1, int(workers))
         node_bucketizations: dict | None = None
-        if workers > 1 and self.backend.parallel and m.signature_decomposable():
+        if workers > 1 and self._fans_out and m.signature_decomposable():
             from repro.generalization.apply import bucketize_at
 
             node_bucketizations = {

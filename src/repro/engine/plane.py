@@ -18,28 +18,20 @@ per bucketization. The :class:`SignaturePlane` does that work once:
   :meth:`~repro.bucketization.bucketization.Bucketization.from_signature_counts`)
   or persisted to disk and re-interned by a different engine.
 
-On top of the plane, this module provides the engine's :class:`CachePolicy`
-(entry-count bound, pinning behavior for lattice sweeps) and the parallel
-executor :func:`parallel_series` used by
-:meth:`~repro.engine.engine.DisclosureEngine.evaluate_many`: unique
-id-multisets are chunked over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merged back in deterministic input order, so parallel results are
-bit-for-bit identical to the serial path.
+Beside the plane, this module holds the engine's :class:`CachePolicy`
+(entry-count bound, pinning behavior for lattice sweeps). Parallel batches
+ship plane keys, and the deltas of :meth:`SignaturePlane.signatures_since`,
+to :class:`~repro.engine.backend.PersistentBackend` workers.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.bucketization.bucketization import Bucketization
 
-__all__ = [
-    "SignaturePlane",
-    "CachePolicy",
-    "parallel_series",
-    "evaluate_raw_multisets",
-]
+__all__ = ["SignaturePlane", "CachePolicy"]
 
 #: A plane-encoded bucketization: ``((signature id, count), ...)`` sorted by id.
 PlaneKey = tuple
@@ -176,84 +168,3 @@ class CachePolicy:
             raise ValueError(
                 f"max_entries must be positive or None, got {self.max_entries}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Parallel batch execution
-# ---------------------------------------------------------------------------
-def evaluate_raw_multisets(
-    model,
-    raw_multisets: Sequence[RawMultiset],
-    ks: Sequence[int],
-    exact: bool,
-    kernel: str = "auto",
-) -> list[dict[int, object]]:
-    """Worker entry point: one disclosure series per raw signature multiset.
-
-    Runs in a worker process with a fresh
-    :class:`~repro.engine.base.EngineContext`. Each multiset is rebuilt into
-    a synthetic, evaluation-equivalent bucketization; the model's own batch
-    path then produces the series. Only signature-decomposable models are
-    dispatched here, so the rebuilt bucketization yields bit-for-bit the
-    serial answer (same canonical signature order, same arithmetic, same
-    ``kernel`` — callers ship the engine's already-resolved kernel so every
-    worker computes on the identical code path).
-    """
-    from repro.engine.base import EngineContext  # worker-side; avoid cycle
-
-    context = EngineContext(exact=exact, kernel=kernel)
-    return [
-        model.series(
-            Bucketization.from_signature_counts(raw), ks, context=context
-        )
-        for raw in raw_multisets
-    ]
-
-
-def _strided_chunks(items: list, stride: int) -> list[list]:
-    """Split ``items`` into ``stride`` round-robin chunks (balanced sizes,
-    deterministic reassembly via the same striding)."""
-    return [items[i::stride] for i in range(stride)]
-
-
-def parallel_series(
-    model,
-    raw_multisets: Sequence[RawMultiset],
-    ks: Iterable[int],
-    *,
-    exact: bool,
-    workers: int,
-    kernel: str = "auto",
-    chunks_per_worker: int = 4,
-) -> list[dict[int, object]]:
-    """Evaluate many raw signature multisets over a process pool.
-
-    Results come back in input order regardless of worker completion order
-    (chunks are merged by their deterministic stride positions). Any pool
-    failure — unpicklable plugin models, fork restrictions, a broken pool —
-    propagates to the caller, which is expected to fall back to the serial
-    path; a failure inside ``model.series`` itself also surfaces there, where
-    the serial retry reproduces it with a clean traceback.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    multisets = list(raw_multisets)
-    ks = sorted(set(ks))
-    if not multisets:
-        return []
-    workers = max(1, min(int(workers), len(multisets)))
-    if workers == 1:
-        return evaluate_raw_multisets(model, multisets, ks, exact, kernel)
-    stride = min(len(multisets), workers * chunks_per_worker)
-    chunks = _strided_chunks(multisets, stride)
-    results: list = [None] * len(multisets)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                evaluate_raw_multisets, model, chunk, ks, exact, kernel
-            )
-            for chunk in chunks
-        ]
-        for index, future in enumerate(futures):
-            results[index::stride] = future.result()
-    return results

@@ -95,8 +95,10 @@ def run_figure6(
         attacker; pass ``"negation"`` for the ℓ-diversity analogue).
     engine:
         Optional shared :class:`~repro.engine.engine.DisclosureEngine`.
+        Without one, the sweep runs on an engine of its own, closed (with
+        any worker processes it started) before the call returns.
     workers:
-        Process-pool size for the node sweep (default: the engine's own
+        Worker-process count for the node sweep (default: the engine's own
         ``workers``). With ``workers > 1`` the unique signature multisets
         across all nodes are evaluated in parallel and warm-backed into the
         engine's cache; results are identical to the serial sweep.
@@ -107,16 +109,24 @@ def run_figure6(
     the engine's signature plane: bucket signatures repeat heavily across
     anonymizations, so each distinct signature multiset is computed exactly
     once (Section 3.3.3's incremental remark) — serially through the shared
-    cache, or chunked over a process pool.
+    cache, or chunked over persistent worker processes.
     """
+    if engine is None:
+        with DisclosureEngine() as own:
+            return run_figure6(
+                table,
+                ks=ks,
+                min_entropy_floor=min_entropy_floor,
+                model=model,
+                engine=own,
+                workers=workers,
+            )
     ks = tuple(sorted(set(ks)))
     if not ks:
         raise ValueError("need at least one k")
     lattice = GeneralizationLattice(
         adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
     )
-    if engine is None:
-        engine = DisclosureEngine()
     kept: list[tuple[tuple[int, ...], float, object]] = []
     for node in lattice.nodes():
         bucketization = bucketize_at(table, lattice, node)

@@ -2,9 +2,9 @@
 
 PR 3 built the pieces a long-running service needs — a bounded LRU cache
 with :meth:`~repro.engine.engine.DisclosureEngine.save_cache` /
-``load_cache`` persistence, and execution backends whose lifecycle
-(``PersistentBackend(idle_timeout=...)``, ``engine.close()``) matches a
-server's. This package is that server, and its horizontal scaling tier:
+``load_cache`` persistence, and persistent worker processes whose
+lifecycle (``PersistentBackend(idle_timeout=...)``, ``engine.close()``)
+matches a server's. This package is that server, and its horizontal scaling tier:
 
 - :mod:`repro.service.wire` — the JSON wire format (lossless in both
   arithmetic modes: floats as JSON numbers, Fractions as ``"num/den"``;
@@ -34,7 +34,7 @@ or embed it::
 
     from repro.service import BackgroundRouter, BackgroundService
 
-    with BackgroundService(backend="persistent", workers=4) as bg:
+    with BackgroundService(workers=4) as bg:
         client = bg.client()
         client.disclosure(bucketization, k=3, model="negation")
 

@@ -227,6 +227,14 @@ class JsonHttpServer:
 
     async def start_http(self) -> None:
         """Bind the listening socket and start accepting connections."""
+        # asyncio reads each socket into a fresh 256 KiB buffer. glibc
+        # gives every block above its mmap threshold (128 KiB until a freed
+        # mapped block raises it) a mapping of its own, so until the
+        # threshold rises each read maps, faults in and unmaps its buffer,
+        # and throughput depends on whether some earlier allocation
+        # happened to raise it. Freeing one 1 MiB block raises it past the
+        # buffer for the life of the process.
+        bytes(1 << 20)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )

@@ -326,7 +326,7 @@ class ShardRouter(JsonHttpServer):
         ``"process"`` (subprocess shards), ``"inproc"`` (embedded shards)
         or ``"auto"`` (default; see :func:`resolve_shard_mode`). The
         resolved value is readable back from :attr:`shard_mode`.
-    backend, workers, kernel, cache_limit, batch_window:
+    workers, kernel, cache_limit, batch_window:
         Passed through to every shard as its engine/coalescer knobs.
         ``batch_window`` also paces the router's own upstream coalescer
         for process shards.
@@ -369,7 +369,6 @@ class ShardRouter(JsonHttpServer):
         port: int = 0,
         shards: int = 2,
         shard_mode: str = "auto",
-        backend: str = "serial",
         workers: int = 1,
         kernel: str = "auto",
         cache_limit: int | None = None,
@@ -399,7 +398,6 @@ class ShardRouter(JsonHttpServer):
                 f"health_interval must be >= 0, got {health_interval}"
             )
         self.shard_mode = resolve_shard_mode(shard_mode, shards)
-        self.backend = backend
         self.workers = workers
         self.kernel = kernel
         self.cache_limit = cache_limit
@@ -489,8 +487,6 @@ class ShardRouter(JsonHttpServer):
             "127.0.0.1",
             "--port",
             "0",
-            "--backend",
-            self.backend,
             "--workers",
             str(self.workers),
             "--kernel",
@@ -527,7 +523,6 @@ class ShardRouter(JsonHttpServer):
         subprocess pipe) or an embedded socketless service."""
         if shard.mode == "inproc":
             service = DisclosureService(
-                backend=self.backend,
                 workers=self.workers,
                 kernel=self.kernel,
                 cache_limit=self.cache_limit,
@@ -1266,6 +1261,7 @@ class ShardRouter(JsonHttpServer):
                 "publishes_rejected",
                 "publish_multisets_evaluated",
                 "publish_multisets_reused",
+                "cache_files_quarantined",
             ):
                 value = service.get(field)
                 if isinstance(value, int):
@@ -1299,7 +1295,7 @@ class BackgroundRouter(BackgroundHost):
 
     Usage::
 
-        with BackgroundRouter(shards=3, backend="serial") as bg:
+        with BackgroundRouter(shards=3) as bg:
             value = bg.client().disclosure(bucketization, k=3)
     """
 

@@ -8,8 +8,8 @@ Concurrent single ``/disclosure`` requests are drained into groups of
 ``(mode, model, k)`` and evaluated as one
 :meth:`~repro.engine.engine.DisclosureEngine.evaluate_many` call on the
 signature plane, so N clients asking about the same (or same-shaped)
-anonymization cost one computation, and a parallel execution backend sees
-real batches instead of single lookups.
+anonymization cost one computation, and the engines' worker processes
+(``workers > 1``) see real batches instead of single lookups.
 
 The HTTP dialect lives in :mod:`repro.service.httpbase`
 (:class:`~repro.service.httpbase.JsonHttpServer`): **keep-alive**
@@ -70,7 +70,9 @@ count in ``cache_fast_hits``, ``/disclosure`` batches and ``/compare`` in
 signature-decomposable always take the engine path.
 
 Lifecycle matches the engine's: :meth:`DisclosureService.start` loads any
-persisted cache (``load_cache``), :meth:`DisclosureService.stop` drains,
+persisted cache (``load_cache``; a file that fails to load is renamed to
+``<file>.corrupt``, counted in ``cache_files_quarantined``, and its engine
+boots empty), :meth:`DisclosureService.stop` drains,
 saves the caches and closes the engines — ``repro serve`` ties those to
 process SIGTERM/SIGINT. :class:`BackgroundService` runs the whole thing on
 a daemon thread for tests and benchmarks. For the horizontally sharded
@@ -84,6 +86,7 @@ import asyncio
 import json
 import re
 import time
+import warnings
 from collections import Counter, OrderedDict
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
@@ -514,6 +517,8 @@ class ServiceStats:
     ``/disclosure`` batches and ``/compare`` requests so answered, and
     ``memo_hits`` the lookup bodies this service resolved from its request
     memo (in-process shards leave it at 0: their router keeps the memo).
+    ``cache_files_quarantined`` counts persisted cache files that failed
+    to load at boot and were renamed to ``<file>.corrupt``.
     """
 
     def __init__(self) -> None:
@@ -535,6 +540,7 @@ class ServiceStats:
         self.publishes_rejected = 0
         self.publish_multisets_evaluated = 0
         self.publish_multisets_reused = 0
+        self.cache_files_quarantined = 0
 
     def note_coalesced(self, group_size: int) -> None:
         """Record one drained coalescer group of ``group_size`` singles."""
@@ -575,6 +581,7 @@ class ServiceStats:
             "publishes_rejected": self.publishes_rejected,
             "publish_multisets_evaluated": self.publish_multisets_evaluated,
             "publish_multisets_reused": self.publish_multisets_reused,
+            "cache_files_quarantined": self.cache_files_quarantined,
         }
 
 
@@ -602,16 +609,21 @@ class DisclosureService(JsonHttpServer):
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`port` after :meth:`start` — the pattern tests and
         ``repro serve --port 0`` use).
-    backend, workers, cache_limit, kernel:
+    workers, cache_limit, kernel:
         Engine construction knobs, exactly as the CLI flags: each mode's
-        engine gets its own execution backend built from the ``backend``
-        name, a :class:`~repro.engine.plane.CachePolicy` bounded by
+        engine gets ``workers`` worker processes of its own (above 1; 1
+        keeps every batch in-process), a
+        :class:`~repro.engine.plane.CachePolicy` bounded by
         ``cache_limit``, and the MINIMIZE1/MINIMIZE2 ``kernel`` selector
         (the exact engine always resolves to scalar).
     cache_path:
         Optional path *prefix* for cache persistence. Boot loads
         ``<prefix>.float.pkl`` / ``<prefix>.exact.pkl`` when present
         (counts in :attr:`loaded_entries`); :meth:`stop` writes both back.
+        A file that fails to load (truncated, not a cache, or saved in the
+        other arithmetic mode) does not stop the boot: it is renamed to
+        ``<file>.corrupt``, so the shutdown save cannot overwrite it, and
+        its engine starts empty.
     batch_window:
         Seconds the coalescer waits after the first pending single request
         before draining the queue — the knob trading a little latency for
@@ -633,14 +645,15 @@ class DisclosureService(JsonHttpServer):
 
     Notes
     -----
-    With ``backend="persistent"`` the worker processes fork lazily on the
-    first coalesced batch, i.e. from a process that already runs the event
-    loop and engine threads. The worker target only touches modules this
+    With ``workers > 1`` the worker processes fork lazily on the first
+    coalesced batch, i.e. from a process that already runs the event loop
+    and engine threads. The worker target only touches modules this
     package has already imported, so the usual fork-under-threads import
     deadlock does not apply to our own code — but a plugin model whose
     evaluation forks further, or an embedding application holding its own
-    locks across threads, should prefer ``backend="serial"``/``"pool"`` or
-    pass a pre-built backend with a ``spawn`` multiprocessing context.
+    locks across threads, should keep ``workers=1`` or drive a
+    :class:`~repro.engine.engine.DisclosureEngine` built with a
+    ``spawn``-context :class:`~repro.engine.backend.PersistentBackend`.
     """
 
     def __init__(
@@ -648,7 +661,6 @@ class DisclosureService(JsonHttpServer):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: str = "serial",
         workers: int = 1,
         kernel: str = "auto",
         cache_limit: int | None = None,
@@ -676,7 +688,6 @@ class DisclosureService(JsonHttpServer):
                     exact=(mode == "exact"),
                     policy=CachePolicy(max_entries=cache_limit),
                     workers=workers,
-                    backend=backend,
                     kernel=kernel,
                 )
                 for mode in _MODES
@@ -772,7 +783,7 @@ class DisclosureService(JsonHttpServer):
             for tenant, mode, engine in self._all_engines():
                 path = self._mode_cache_file(mode, tenant)
                 if path.exists():
-                    loaded = engine.load_cache(path)
+                    loaded = self._load_cache_file(engine, path)
                     if tenant is None:
                         self.loaded_entries[mode] = loaded
                     else:
@@ -781,6 +792,24 @@ class DisclosureService(JsonHttpServer):
         self._dispatcher = asyncio.create_task(
             self._dispatch_loop(), name="repro-coalescer"
         )
+
+    def _load_cache_file(self, engine: DisclosureEngine, path: Path) -> int:
+        """Load one persisted cache file into ``engine``; a file that fails
+        to load is renamed to ``<file>.corrupt``, counted and warned about
+        instead, and ``engine`` stays empty. Returns the entries loaded."""
+        try:
+            return engine.load_cache(path)
+        except Exception as exc:  # any bad file must not stop the boot
+            corrupt = path.with_name(path.name + ".corrupt")
+            path.replace(corrupt)
+            self.stats.cache_files_quarantined += 1
+            warnings.warn(
+                f"cache file {path} failed to load "
+                f"({type(exc).__name__}: {exc}); moved to {corrupt}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            return 0
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, fail queued work with 503,
@@ -1241,10 +1270,12 @@ class DisclosureService(JsonHttpServer):
     async def _ep_stats(self):
         engines = {}
         for mode, engine in self.engines.items():
+            # A plain attribute read: the engine thread may be starting a
+            # batch, and only that thread ever builds a backend.
             backend = engine.backend
             backend_info: dict[str, Any] = {
-                "name": backend.name,
-                "parallel": backend.parallel,
+                "name": "serial" if backend is None else backend.name,
+                "parallel": backend is not None,
             }
             if isinstance(backend, PersistentBackend):
                 backend_info.update(
@@ -1313,7 +1344,7 @@ class BackgroundService(BackgroundHost):
 
     Usage::
 
-        with BackgroundService(backend="serial") as bg:
+        with BackgroundService() as bg:
             value = bg.client().disclosure(bucketization, k=3)
 
     The context manager owns the event loop: entering starts the loop

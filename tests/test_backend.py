@@ -1,10 +1,10 @@
-"""Execution backends: serial/pool/persistent equivalence and lifecycle.
+"""Persistent workers: equivalence with the in-process path, and lifecycle.
 
 The acceptance claims for the backend layer:
 
-1. **Bit-for-bit equivalence** (property-based): the ``persistent`` backend
-   returns exactly the serial path's values, in float and exact modes, for
-   every signature-decomposable model — and so does ``pool``.
+1. **Bit-for-bit equivalence** (property-based): the persistent workers
+   return exactly the serial path's values, in float and exact modes, for
+   every signature-decomposable model.
 2. **Incremental shipping**: a worker receives each plane signature at most
    once; a steady-state batch whose signatures are already mirrored ships
    none.
@@ -12,7 +12,8 @@ The acceptance claims for the backend layer:
    worker processes; an idle timeout shuts them down and the next batch
    respawns them; a crashed worker pool respawns transparently; a model
    that cannot pickle degrades to the serial path without poisoning the
-   backend.
+   backend; a default engine builds its backend (and imports
+   :mod:`multiprocessing`) only when a batch first needs it.
 4. **Honest stats**: parallel batches are counted as ``parallel_hits``, so
    a cold cache with ``workers > 1`` reports a zero ``hit_rate``
    (the PR-3 ``EngineStats`` misattribution fix).
@@ -23,8 +24,12 @@ The acceptance claims for the backend layer:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,12 +43,10 @@ from repro.engine import (
     ExecutionBackend,
     PersistentBackend,
     SamplingAdversary,
-    available_backends,
-    create_backend,
     get_adversary,
 )
 
-BACKENDS = ("serial", "pool", "persistent")
+BACKENDS = ("serial", "persistent")
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(),
@@ -59,6 +62,16 @@ small_bucketization_lists = st.lists(
     min_size=2,
     max_size=5,
 )
+
+
+def _src_env() -> dict[str, str]:
+    """This environment with the package under test importable."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
 
 
 def _random_bucketizations(count: int, seed: int = 11) -> list[Bucketization]:
@@ -108,14 +121,12 @@ class TestEquivalence:
                 expected = DisclosureEngine(
                     exact=exact, backend="serial"
                 ).evaluate_many(bucketizations, ks, model=model)
-                for backend in ("pool", shared_persistent):
-                    engine = DisclosureEngine(
-                        exact=exact, workers=2, backend=backend
-                    )
-                    result = engine.evaluate_many(
-                        bucketizations, ks, model=model
-                    )
-                    assert result == expected, (model, exact, engine.backend.name)
+                engine = DisclosureEngine(
+                    exact=exact, workers=2, backend=shared_persistent
+                )
+                result = engine.evaluate_many(bucketizations, ks, model=model)
+                assert result == expected, (model, exact)
+                assert engine.stats.parallel_tasks > 0
 
     @requires_numpy
     def test_search_prewarm_on_persistent_backend(self, shared_persistent):
@@ -364,16 +375,89 @@ class TestLifecycle:
         assert engine.stats.parallel_tasks == 0
         assert engine.stats.parallel_hits == 0
 
-    def test_create_backend_validation(self):
-        assert available_backends() == ("persistent", "pool", "serial")
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            create_backend("threads")
-        backend = create_backend("serial")
-        assert create_backend(backend) is backend
-        with pytest.raises(ValueError, match="name"):
-            create_backend(backend, idle_timeout=1.0)
+    def test_backend_name_validation(self):
+        for name in ("pool", "threads"):
+            with pytest.raises(ValueError) as excinfo:
+                DisclosureEngine(backend=name)
+            message = str(excinfo.value)
+            assert repr(name) in message
+            assert "'persistent'" in message and "'serial'" in message
+        backend = PersistentBackend()
+        with DisclosureEngine(backend=backend) as engine:
+            assert engine.backend is backend
         with pytest.raises(ValueError, match="idle_timeout"):
             PersistentBackend(idle_timeout=0.0)
+
+    def test_negative_k_rejected_before_any_fan_out(self):
+        """A caller error is raised before bucketization or fan-out: no
+        worker starts and no backend failure is counted."""
+        bs = _random_bucketizations(6, seed=42)
+        with DisclosureEngine(workers=2, backend="persistent") as engine:
+            for model in ("implication", "negation", "distribution"):
+                with pytest.raises(
+                    ValueError, match="k must be non-negative, got -1"
+                ):
+                    engine.evaluate_many(bs, [-1, 1], model=model)
+            assert engine.stats.backend_fallbacks == 0
+            assert engine.backend.batches_run == 0
+            assert engine.backend.worker_count() == 0
+
+    @requires_numpy
+    def test_negative_k_search_rejected_before_any_fan_out(self):
+        from repro.data.adult import ADULT_SCHEMA
+        from repro.data.hierarchies import adult_hierarchies
+        from repro.experiments.runner import default_adult_table
+        from repro.generalization.lattice import GeneralizationLattice
+
+        table = default_adult_table(150)
+        lattice = GeneralizationLattice(
+            adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+        )
+        with DisclosureEngine(workers=2, backend="persistent") as engine:
+            with pytest.raises(
+                ValueError, match="k must be non-negative, got -1"
+            ):
+                engine.find_minimal_safe_nodes(table, lattice, 0.8, -1)
+            assert engine.stats.backend_fallbacks == 0
+            assert engine.backend.batches_run == 0
+            assert engine.backend.worker_count() == 0
+
+    def test_in_process_engine_never_imports_multiprocessing(self):
+        """A default engine (workers=1) answers batches and lattice sweeps
+        without building a backend, so it never imports multiprocessing."""
+        script = """
+import sys
+from repro import Bucketization, DisclosureEngine
+engine = DisclosureEngine()
+bs = [Bucketization.from_value_lists([list("aab"), list("xyz" * n)])
+      for n in range(1, 6)]
+engine.evaluate_many(bs, [1, 2])
+try:
+    from repro.data.adult import ADULT_SCHEMA
+    from repro.data.hierarchies import adult_hierarchies
+    from repro.experiments.runner import default_adult_table
+    from repro.generalization.lattice import GeneralizationLattice
+    table = default_adult_table(150)
+except ImportError:  # no numpy: the synthetic table is unavailable
+    table = None
+if table is not None:
+    lattice = GeneralizationLattice(
+        adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+    )
+    engine.find_minimal_safe_nodes(table, lattice, 0.8, 2)
+engine.close()
+assert engine.backend is None
+print("multiprocessing" in sys.modules)
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +473,7 @@ class _FailingBackend(ExecutionBackend):
 
 
 class TestStats:
-    @pytest.mark.parametrize("backend", ["pool", "persistent"])
+    @pytest.mark.parametrize("backend", ["persistent"])
     def test_cold_parallel_batch_reports_zero_hit_rate(self, backend):
         """Regression: parallel-warmed results used to be counted as
         cache_hits, so a cold cache with workers > 1 claimed a nonzero hit

@@ -154,38 +154,35 @@ class TestCommands:
                 ["disclosure", "--adversary", "telepathy"]
             )
 
-    def test_backend_flag_parsed_with_pool_default(self):
-        args = build_parser().parse_args(["fig6", "--workers", "2"])
-        assert args.backend == "pool"
-        args = build_parser().parse_args(
-            ["search", "--backend", "persistent", "--workers", "2"]
-        )
-        assert args.backend == "persistent"
-
     def test_backend_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig6", "--backend", "threads"])
+        """There is no --backend flag: --workers alone picks the path."""
+        parser = build_parser()
+        assert parser.parse_args(["fig6", "--workers", "2"]).workers == 2
+        assert parser.parse_args(["serve"]).workers == 2
+        for command in ("fig5", "fig6", "disclosure", "search", "serve"):
+            for value in ("pool", "persistent", "serial"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "--backend", value])
 
-    @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
+    @pytest.mark.parametrize("backend", ["serial", "persistent"])
     def test_disclosure_runs_on_every_backend(self, backend, capsys):
+        workers = {"serial": "1", "persistent": "2"}[backend]
         code = main(
             ["disclosure", "--rows", "300", "--k", "2",
-             "--backend", backend, "--workers", "2", "--cache-stats"]
+             "--workers", workers, "--cache-stats"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "max disclosure" in out
         assert "parallel hits" in out  # the honest-stats counter is printed
 
-    def test_fig6_persistent_backend_matches_pool(self, capsys):
-        code = main(["fig6", "--rows", "200", "--workers", "2",
-                     "--backend", "persistent"])
+    def test_fig6_parallel_matches_serial(self, capsys):
+        code = main(["fig6", "--rows", "200", "--workers", "2"])
         assert code == 0
-        persistent_out = capsys.readouterr().out
-        code = main(["fig6", "--rows", "200", "--workers", "2",
-                     "--backend", "pool"])
+        parallel_out = capsys.readouterr().out
+        code = main(["fig6", "--rows", "200", "--workers", "1"])
         assert code == 0
-        assert capsys.readouterr().out == persistent_out
+        assert capsys.readouterr().out == parallel_out
 
     def test_search_adversary_negation(self, capsys):
         code = main(

@@ -232,7 +232,7 @@ class TestEngineIntegration:
                         ) == scalar_engine.series(b, ks, model=model)
 
     @requires_numpy
-    @pytest.mark.parametrize("backend", ["serial", "pool", "persistent"])
+    @pytest.mark.parametrize("backend", ["serial", "persistent"])
     def test_backends_honor_kernel_bit_identical(self, backend):
         bs = [
             Bucketization.from_value_lists([[c * (i % 3 + 1) for c in row]])

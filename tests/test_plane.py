@@ -5,10 +5,11 @@ Four layers of guarantees:
 1. **Plane semantics**: interning is stable, encode/decode round-trips, and
    a synthetically rebuilt bucketization is evaluation-equivalent to the
    original for every signature-decomposable model (property-based).
-2. **Parallel == serial**: ``evaluate_many`` over a process pool returns
-   bit-for-bit what the serial path returns, in float and exact modes, with
-   warm-back populating the shared cache; non-decomposable models fall back
-   to the serial path.
+2. **Parallel == serial**: ``evaluate_many`` on persistent worker
+   processes returns bit-for-bit what the serial path returns, in float and
+   exact modes, with warm-back populating the shared cache;
+   non-decomposable models fall back to the serial path. Every test that
+   starts workers closes its engine.
 3. **Cache policy**: the LRU bound holds, evictions are counted, pinned
    entries survive eviction, and a bounded Figure-6 sweep stays within its
    limit while reporting evictions.
@@ -252,9 +253,9 @@ class TestSignaturesSince:
 # ---------------------------------------------------------------------------
 class TestParallelEvaluateMany:
     def test_parallel_equals_serial_bit_for_bit(self):
-        """The property behind BENCH_parallel: on a pool of random
-        bucketizations, the parallel path returns exactly the serial result
-        for every decomposable model, float and exact."""
+        """On a set of random bucketizations, the parallel path returns
+        exactly the serial result for every decomposable model, float and
+        exact."""
         bucketizations = _random_bucketizations(10)
         ks = [0, 1, 2, 3]
         for exact in (False, True):
@@ -262,32 +263,32 @@ class TestParallelEvaluateMany:
                 serial = DisclosureEngine(exact=exact).evaluate_many(
                     bucketizations, ks, model=model, workers=1
                 )
-                parallel_engine = DisclosureEngine(exact=exact, workers=2)
-                parallel = parallel_engine.evaluate_many(
-                    bucketizations, ks, model=model
-                )
+                with DisclosureEngine(exact=exact, workers=2) as parallel_engine:
+                    parallel = parallel_engine.evaluate_many(
+                        bucketizations, ks, model=model
+                    )
                 assert parallel == serial, (model, exact)
                 assert parallel_engine.stats.parallel_tasks > 0
 
     def test_warm_back_populates_shared_cache(self):
         bucketizations = _random_bucketizations(6, seed=3)
         ks = [1, 2]
-        engine = DisclosureEngine(workers=2)
-        engine.evaluate_many(bucketizations, ks)
-        # Everything the assembly looked up arrived via warm-back.
-        assert engine.stats.misses == 0
-        hits = engine.stats.cache_hits
-        engine.evaluate_many(bucketizations, ks, workers=1)
-        assert engine.stats.misses == 0
-        assert engine.stats.cache_hits > hits
+        with DisclosureEngine(workers=2) as engine:
+            engine.evaluate_many(bucketizations, ks)
+            # Everything the assembly looked up arrived via warm-back.
+            assert engine.stats.misses == 0
+            hits = engine.stats.cache_hits
+            engine.evaluate_many(bucketizations, ks, workers=1)
+            assert engine.stats.misses == 0
+            assert engine.stats.cache_hits > hits
 
     def test_non_decomposable_model_falls_back_to_serial(self):
         bucketizations = _random_bucketizations(4, seed=5)
         model = SamplingAdversary(samples=200, seed=1)
         assert not model.signature_decomposable()
-        engine = DisclosureEngine(workers=2)
-        parallel = engine.evaluate_many(bucketizations, [1], model=model)
-        assert engine.stats.parallel_tasks == 0  # never hit the pool
+        with DisclosureEngine(workers=2) as engine:
+            parallel = engine.evaluate_many(bucketizations, [1], model=model)
+        assert engine.stats.parallel_tasks == 0  # never reached a worker
         serial = DisclosureEngine().evaluate_many(
             bucketizations, [1], model=model, workers=1
         )
@@ -295,21 +296,21 @@ class TestParallelEvaluateMany:
 
     def test_tight_cache_limit_still_uses_pool_results(self):
         """A max_entries smaller than the batch must not force serial
-        recomputation: the assembly serves the pool's own results even after
-        warm-back entries were evicted."""
+        recomputation: the assembly serves the workers' own results even
+        after warm-back entries were evicted."""
         bucketizations = _random_bucketizations(12, seed=41)
         ks = [2, 3]
         serial = DisclosureEngine().evaluate_many(
             bucketizations, ks, workers=1
         )
-        engine = DisclosureEngine(
+        with DisclosureEngine(
             policy=CachePolicy(max_entries=3), workers=2
-        )
-        result = engine.evaluate_many(bucketizations, ks)
+        ) as engine:
+            result = engine.evaluate_many(bucketizations, ks)
         assert result == serial
         assert engine.cache_size() <= 3
         assert engine.stats.parallel_tasks > 0
-        # Every lookup was answered from the pool's shared results, not
+        # Every lookup was answered from the workers' shared results, not
         # recomputed serially after eviction.
         assert engine.stats.misses == 0
 
@@ -328,8 +329,8 @@ class TestParallelEvaluateMany:
 
         model = LocalModel()
         bucketizations = _random_bucketizations(4, seed=2)
-        engine = DisclosureEngine(workers=2)
-        result = engine.evaluate_many(bucketizations, [1], model=model)
+        with DisclosureEngine(workers=2) as engine:
+            result = engine.evaluate_many(bucketizations, [1], model=model)
         serial = DisclosureEngine().evaluate_many(
             bucketizations, [1], workers=1
         )
@@ -418,7 +419,8 @@ class TestCachePolicy:
         engine = DisclosureEngine(
             policy=CachePolicy(max_entries=100, pin_sweeps=True), workers=2
         )
-        result = engine.find_minimal_safe_nodes(table, lattice, 0.9, 2)
+        with engine:
+            result = engine.find_minimal_safe_nodes(table, lattice, 0.9, 2)
         pinned = engine.pinned_count()
         assert pinned > 0
         # Churn with unpinned traffic: the sweep's entries must all survive.
@@ -541,10 +543,10 @@ class TestPlaneConsumers:
         serial = DisclosureEngine().find_minimal_safe_nodes(
             table, lattice, 0.8, 2
         )
-        parallel_engine = DisclosureEngine(workers=2)
-        parallel = parallel_engine.find_minimal_safe_nodes(
-            table, lattice, 0.8, 2, workers=2
-        )
+        with DisclosureEngine(workers=2) as parallel_engine:
+            parallel = parallel_engine.find_minimal_safe_nodes(
+                table, lattice, 0.8, 2, workers=2
+            )
         assert parallel == serial
         assert parallel_engine.stats.parallel_tasks > 0
 
@@ -561,18 +563,30 @@ class TestPlaneConsumers:
             adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
         )
         model = SamplingAdversary(samples=100, seed=0)
-        engine = DisclosureEngine(workers=2)
         stats = SearchStats()
-        engine.find_minimal_safe_nodes(
-            table, lattice, 0.95, 1, model=model, stats=stats, workers=2
-        )
-        assert engine.stats.parallel_tasks == 0  # pool never used
+        with DisclosureEngine(workers=2) as engine:
+            engine.find_minimal_safe_nodes(
+                table, lattice, 0.95, 1, model=model, stats=stats, workers=2
+            )
+        assert engine.stats.parallel_tasks == 0  # no worker ever used
         # Pruning intact: the sweep did not evaluate the whole lattice.
         assert engine.stats.evaluations < lattice.size
 
     def test_fig6_parallel_matches_serial(self):
         table = default_adult_table(150)
         serial = run_figure6(table, ks=(1, 3))
-        engine = DisclosureEngine(workers=2)
-        parallel = run_figure6(table, ks=(1, 3), engine=engine, workers=2)
+        with DisclosureEngine(workers=2) as engine:
+            parallel = run_figure6(table, ks=(1, 3), engine=engine, workers=2)
         assert parallel.nodes == serial.nodes
+
+    def test_fig6_own_engine_leaves_no_workers(self):
+        """Without an engine passed, run_figure6 closes the one it builds,
+        so a workers=2 sweep stops the workers it started."""
+        import multiprocessing
+
+        table = default_adult_table(150)
+        before = set(multiprocessing.active_children())
+        serial = run_figure6(table, ks=(1, 3))
+        parallel = run_figure6(table, ks=(1, 3), workers=2)
+        assert parallel.nodes == serial.nodes
+        assert set(multiprocessing.active_children()) <= before

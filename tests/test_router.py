@@ -70,7 +70,6 @@ def router(request):
     with BackgroundRouter(
         shards=SHARDS,
         shard_mode=request.param,
-        backend="serial",
         batch_window=0.01,
     ) as bg:
         yield bg
@@ -354,7 +353,6 @@ class TestParametricRouting:
             with BackgroundRouter(
                 shards=SHARDS,
                 shard_mode="inproc",
-                backend="serial",
                 batch_window=0.0,
             ) as bg:
                 client = bg.client()
@@ -418,7 +416,6 @@ class TestRouterTenants:
         with BackgroundRouter(
             shards=2,
             shard_mode=shard_mode,
-            backend="serial",
             batch_window=0.0,
             cache_path=prefix,
             tenants=ROUTER_TENANTS,
@@ -488,8 +485,8 @@ class TestRouterTenants:
                 "2",
                 "--shard-mode",
                 "process",
-                "--backend",
-                "serial",
+                "--workers",
+                "1",
                 "--tenants",
                 str(tenants_file),
                 "--cache-file",
@@ -554,7 +551,7 @@ class TestShardModes:
         )
         expect = DisclosureEngine().evaluate(b, 2)
         with BackgroundRouter(
-            shards=2, shard_mode="inproc", backend="serial", batch_window=0.0
+            shards=2, shard_mode="inproc", batch_window=0.0
         ) as bg:
             client = bg.client()
             repeats = 5
@@ -578,7 +575,6 @@ class TestShardModes:
         with BackgroundRouter(
             shards=2,
             shard_mode="process",
-            backend="serial",
             batch_window=0.02,
         ) as bg:
             workers = 6
@@ -668,7 +664,7 @@ class TestRouterEndpoints:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def single_service():
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(batch_window=0.0) as bg:
         yield bg
 
 
@@ -812,7 +808,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode="process",  # only subprocess shards can be killed
-            backend="serial",
             batch_window=0.0,
             health_interval=0.2,
         ) as bg:
@@ -858,8 +853,8 @@ class TestSupervision:
                 "2",
                 "--shard-mode",
                 shard_mode,
-                "--backend",
-                "serial",
+                "--workers",
+                "1",
                 "--cache-file",
                 str(tmp_path / "fleet"),
             ],
@@ -901,7 +896,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode=shard_mode,
-            backend="serial",
             batch_window=0.0,
             cache_path=prefix,
         ) as bg:
@@ -912,7 +906,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode=shard_mode,
-            backend="serial",
             batch_window=0.0,
             cache_path=prefix,
         ) as bg:

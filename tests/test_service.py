@@ -32,7 +32,12 @@ import pytest
 
 from repro.bucketization import Bucketization
 from repro.engine import DisclosureEngine, available_adversaries, get_adversary
-from repro.service import BackgroundService, ServiceClient, ServiceError
+from repro.service import (
+    BackgroundRouter,
+    BackgroundService,
+    ServiceClient,
+    ServiceError,
+)
 from repro.service.server import load_tenants
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +56,7 @@ def figure3_like() -> Bucketization:
 @pytest.fixture(scope="module")
 def service():
     """One shared background service for the read-mostly endpoint tests."""
-    with BackgroundService(backend="serial", batch_window=0.0) as bg:
+    with BackgroundService(batch_window=0.0) as bg:
         yield bg
 
 
@@ -180,7 +185,7 @@ class TestConcurrency:
         ]
         results: list = [None] * len(jobs)
         errors: list = []
-        with BackgroundService(backend="serial", batch_window=0.01) as bg:
+        with BackgroundService(batch_window=0.01) as bg:
             host, port = bg.host, bg.port
 
             def hit(index: int) -> None:
@@ -208,7 +213,7 @@ class TestConcurrency:
 
     def test_concurrent_singles_coalesce_into_one_batch(self):
         bs = _random_bucketizations(self.CLIENTS, seed=7)
-        with BackgroundService(backend="serial", batch_window=0.25) as bg:
+        with BackgroundService(batch_window=0.25) as bg:
             host, port = bg.host, bg.port
             barrier = threading.Barrier(self.CLIENTS)
 
@@ -239,7 +244,7 @@ class TestConcurrency:
         """N concurrent identical singles: one unique plane key, so the
         engine evaluates once and everyone gets the same bits."""
         n = 6
-        with BackgroundService(backend="serial", batch_window=0.25) as bg:
+        with BackgroundService(batch_window=0.25) as bg:
             host, port = bg.host, bg.port
             barrier = threading.Barrier(n)
             values: list = [None] * n
@@ -487,12 +492,12 @@ class TestOneBodyOneAnswer:
     def test_same_bytes_cold_partly_warm_and_cached(self, path, body, warm, exact):
         body, warm = dict(body, exact=exact), dict(warm, exact=exact)
         data = json.dumps(body).encode()
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             cold = _raw_bytes(bg.host, bg.port, path, data)
             assert cold[0] == 200
             with bg.client() as client:
                 assert client.stats()["service"]["series_fast_hits"] == 0
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             status, _ = _raw_bytes(
                 bg.host, bg.port, "/disclosure", json.dumps(warm).encode()
             )
@@ -519,7 +524,7 @@ class TestOneBodyOneAnswer:
 # ---------------------------------------------------------------------------
 class TestKeepAlive:
     def test_one_connection_serves_many_requests(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 body = json.dumps(
@@ -546,7 +551,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] == 3  # requests 2..4
 
     def test_connection_close_header_honored(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 connection.request(
@@ -560,7 +565,7 @@ class TestKeepAlive:
                 connection.close()
 
     def test_pooled_client_reuses_one_connection(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             for k in range(5):
                 client.disclosure(figure3_like, k)
@@ -570,7 +575,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] >= 5
 
     def test_per_connection_client_opens_one_each(self, figure3_like):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             client = ServiceClient(bg.host, bg.port, keep_alive=False)
             for k in range(3):
                 client.disclosure(figure3_like, k)
@@ -582,7 +587,7 @@ class TestKeepAlive:
         """An idle-timeout-closed server connection must not surface: the
         pooled client detects the stale socket and replays."""
         with BackgroundService(
-            backend="serial", batch_window=0.0, request_timeout=0.3
+            batch_window=0.0, request_timeout=0.3
         ) as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             first = client.disclosure(figure3_like, 2)
@@ -592,7 +597,7 @@ class TestKeepAlive:
 
     def test_max_connections_cap_is_503(self):
         with BackgroundService(
-            backend="serial", batch_window=0.0, max_connections=1
+            batch_window=0.0, max_connections=1
         ) as bg:
             holder = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
@@ -634,8 +639,8 @@ def _boot_serve(prefix: Path) -> tuple[subprocess.Popen, int, str]:
             "serve",
             "--port",
             "0",
-            "--backend",
-            "serial",
+            "--workers",
+            "1",
             "--cache-file",
             str(prefix),
         ],
@@ -769,7 +774,7 @@ class TestParamsAndTenants:
         assert Fraction(float(q)) != q
 
     def test_distinct_params_never_share_a_cache_entry(self, small_pair):
-        with BackgroundService(backend="serial", batch_window=0.0) as bg:
+        with BackgroundService(batch_window=0.0) as bg:
             client = bg.client()
             low = client.disclosure(
                 small_pair, 1, model="probabilistic",
@@ -841,7 +846,6 @@ class TestParamsAndTenants:
         self, tmp_path, figure3_like
     ):
         with BackgroundService(
-            backend="serial",
             batch_window=0.0,
             tenants=TENANTS,
             cache_path=tmp_path / "fleet",
@@ -888,7 +892,6 @@ class TestParamsAndTenants:
         engines and two cache files — no cross-tenant sharing."""
         prefix = tmp_path / "iso"
         with BackgroundService(
-            backend="serial",
             batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
@@ -908,7 +911,6 @@ class TestParamsAndTenants:
         # A restarted service reloads each tenant's entries into *its*
         # engine only.
         with BackgroundService(
-            backend="serial",
             batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
@@ -960,12 +962,12 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
     """The in-process lifecycle: stop saves, a fresh service loads."""
     prefix = tmp_path / "bg-cache"
     with BackgroundService(
-        backend="serial", batch_window=0.0, cache_path=prefix
+        batch_window=0.0, cache_path=prefix
     ) as bg:
         first = bg.client().disclosure(figure3_like, 3, model="negation")
     assert (tmp_path / "bg-cache.float.pkl").exists()
     with BackgroundService(
-        backend="serial", batch_window=0.0, cache_path=prefix
+        batch_window=0.0, cache_path=prefix
     ) as bg:
         client = bg.client()
         stats = client.stats()
@@ -977,3 +979,87 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
             + after["service"]["cache_fast_hits"]
             >= 1
         )
+
+
+# ---------------------------------------------------------------------------
+# Worker processes as /stats reports them
+# ---------------------------------------------------------------------------
+def test_stats_report_persistent_workers_when_workers_above_one():
+    bs = _random_bucketizations(8, seed=81)
+    with BackgroundService(workers=2, batch_window=0.0) as bg:
+        with bg.client() as client:
+            assert client.disclosure_batch(bs, [1, 2]) == DisclosureEngine(
+                backend="serial"
+            ).evaluate_many(bs, [1, 2])
+            backend = client.stats()["engines"]["float"]["backend"]
+        assert backend["name"] == "persistent"
+        assert backend["parallel"] is True
+        assert backend["batches_run"] == 1
+        assert backend["workers_alive"] == 2
+    with BackgroundService(workers=1, batch_window=0.0) as bg:
+        with bg.client() as client:
+            client.disclosure_batch(bs, [1, 2])
+            stats = client.stats()
+        for mode in ("float", "exact"):
+            backend = stats["engines"][mode]["backend"]
+            assert backend == {"name": "serial", "parallel": False}
+
+
+# ---------------------------------------------------------------------------
+# A cache file that fails to load is quarantined, and the boot goes on
+# ---------------------------------------------------------------------------
+def _bad_cache_bytes(kind: str, directory: Path, bucketization) -> bytes:
+    """Bytes of a float-mode cache file that cannot be loaded."""
+    if kind == "garbage":
+        return b"garbage"
+    source = DisclosureEngine(exact=(kind == "other_mode"))
+    source.evaluate(bucketization, 1)
+    path = directory / "source.pkl"
+    source.save_cache(path)
+    data = path.read_bytes()
+    return data[: len(data) // 2] if kind == "truncated" else data
+
+
+@pytest.mark.parametrize("where", ["service", "tenant", "shard"])
+@pytest.mark.parametrize("kind", ["garbage", "truncated", "other_mode"])
+def test_bad_cache_file_is_quarantined_and_boot_continues(
+    tmp_path, figure3_like, kind, where
+):
+    prefix = tmp_path / "boot"
+    name = {
+        "service": "boot.float.pkl",
+        "tenant": "boot.acme.float.pkl",
+        "shard": "boot.shard0.float.pkl",
+    }[where]
+    path = tmp_path / name
+    bad = _bad_cache_bytes(kind, tmp_path, figure3_like)
+    path.write_bytes(bad)
+    if where == "shard":
+        host = BackgroundRouter(
+            shards=2, shard_mode="inproc", batch_window=0.0, cache_path=prefix
+        )
+    else:
+        host = BackgroundService(
+            batch_window=0.0,
+            cache_path=prefix,
+            tenants=TENANTS if where == "tenant" else None,
+        )
+    tenant = "acme" if where == "tenant" else None
+    with pytest.warns(RuntimeWarning, match="failed to load"), host as bg:
+        with bg.client() as client:
+            stats = client.stats()
+            answer = client.disclosure(
+                figure3_like, 1, model="implication", tenant=tenant
+            )
+    counters = stats["totals"] if where == "shard" else stats["service"]
+    assert counters["cache_files_quarantined"] == 1
+    if where == "tenant":
+        engines = stats["tenants"]["acme"]["engines"]
+        assert engines["float"]["cache_entries"] == 0
+    elif where == "service":
+        assert stats["engines"]["float"]["cache_entries"] == 0
+    assert answer == DisclosureEngine().evaluate(figure3_like, 1)
+    assert path.with_name(name + ".corrupt").read_bytes() == bad
+    # The graceful stop saved a fresh cache in the bad file's place.
+    loaded = DisclosureEngine().load_cache(path)
+    assert loaded >= (0 if where == "shard" else 1)
