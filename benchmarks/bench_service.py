@@ -167,7 +167,6 @@ def _multi_tenant_bench(bs: list[Bucketization]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         prefix = Path(tmp) / "fleet"
         with BackgroundService(
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -288,7 +287,7 @@ def test_service_latency_throughput_coalescing(benchmark):
     bs = _workload()
     repeats = 20 if tiny_mode() else 200
 
-    with BackgroundService(batch_window=0.0) as bg:
+    with BackgroundService() as bg:
         client = bg.client()
 
         # Cold: the very first question this service has ever seen.
@@ -355,16 +354,18 @@ def test_service_latency_throughput_coalescing(benchmark):
         batch_values = [series[K + 2] for series in batch_series]
         batch_speedup = sequential_s / batch_s if batch_s > 0 else float("inf")
 
-    # Concurrent identical singles against a coalescing window: the
-    # service must serve everyone from (at most a couple of) engine
-    # batches, bit-identically.
-    with BackgroundService(batch_window=0.2) as bg:
+    # Concurrent identical singles queued behind a held engine thread: the
+    # service must serve everyone from (at most two) engine batches,
+    # bit-identically. The engine thread is parked on a gate job until the
+    # service has counted every single, so no timing window decides
+    # whether a batch forms.
+    with BackgroundService() as bg:
         host, port = bg.host, bg.port
-        barrier = threading.Barrier(CONCURRENT_CLIENTS)
+        gate = threading.Event()
+        bg.service._executor.submit(gate.wait)
         concurrent_values: list = [None] * CONCURRENT_CLIENTS
 
         def hit(index: int) -> None:
-            barrier.wait(timeout=60)
             concurrent_values[index] = ServiceClient(host, port).disclosure(
                 bs[0], K
             )
@@ -376,6 +377,13 @@ def test_service_latency_throughput_coalescing(benchmark):
         start = time.perf_counter()
         for thread in threads:
             thread.start()
+        deadline = time.monotonic() + 60
+        while (
+            bg.service.stats.single_requests < CONCURRENT_CLIENTS
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.001)
+        gate.set()
         for thread in threads:
             thread.join(timeout=120)
         concurrent_s = time.perf_counter() - start
@@ -385,12 +393,12 @@ def test_service_latency_throughput_coalescing(benchmark):
     # HAMMER_THREADS clients sweep the fresh question list (k = K+3).
     hammer_passes = 2 if tiny_mode() else 4
     hammer_requests = HAMMER_THREADS * hammer_passes * len(bs)
-    with BackgroundService(batch_window=0.0) as bg:
+    with BackgroundService() as bg:
         single_elapsed, single_answers, _ = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes
         )
     with BackgroundRouter(
-        shards=SHARDS, shard_mode="auto", batch_window=0.0
+        shards=SHARDS, shard_mode="auto"
     ) as bg:
         sharded_elapsed, sharded_answers, sharded_latencies = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Doc-drift gate: the guides in docs/ must match the code they describe.
 
-Two cross-checks, both against the living registries rather than string
-expectations:
+Three cross-checks, all against the living registries rather than
+string expectations:
 
 1. **Endpoint table** — the table in ``docs/wire-protocol.md`` must list
-   exactly the routes :mod:`repro.service.server` registers
-   (``ROUTES`` + ``PREFIX_ROUTES``). A parameterized route like
+   exactly the routes both serving tiers dispatch from
+   (``repro.service.httpbase.ROUTES`` + ``PREFIX_ROUTES``: the service
+   and the shard router share one table). A parameterized route like
    ``/releases/{table}/{version}`` documents a prefix route by starting
    with its prefix. Missing, stale and verb-mismatched rows all fail.
 
 2. **CLI subcommands** — every subcommand wired into ``repro.cli`` must
    be mentioned (backticked) somewhere in the docs tier, so ``repro
    --help`` never knows commands the documentation does not.
+
+3. **CLI flags** — every backticked ``--flag`` in the docs must be an
+   option of ``repro`` or of one of its subcommands (collected by walking
+   ``build_parser()``), so a removed flag cannot linger in a guide.
 
 Run from anywhere: ``python scripts/check_docs.py`` (CI runs it in the
 ``lint-invariants`` job). ``--docs-dir`` points at an alternative docs
@@ -29,11 +34,14 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cli import _COMMANDS  # noqa: E402
-from repro.service.server import PREFIX_ROUTES, ROUTES  # noqa: E402
+from repro.cli import _COMMANDS, build_parser  # noqa: E402
+from repro.service.httpbase import PREFIX_ROUTES, ROUTES  # noqa: E402
 
 #: A table row like ``| `/disclosure` | POST | ... |``.
 ENDPOINT_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*([A-Z]+)\s*\|")
+#: One inline code span, and a long option inside it.
+CODE_SPAN = re.compile(r"`([^`]+)`")
+LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def documented_endpoints(wire_doc: str) -> list[tuple[str, str]]:
@@ -121,6 +129,36 @@ def check_cli_commands(docs_dir: Path) -> list[str]:
     return errors
 
 
+def cli_flags() -> set[str]:
+    """Every option string of ``repro`` and of each of its subcommands."""
+    flags: set[str] = set()
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            flags.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return flags
+
+
+def check_cli_flags(docs_dir: Path) -> list[str]:
+    """Every backticked ``--flag`` in docs/ must be a ``repro`` option."""
+    known = cli_flags()
+    errors = []
+    for path in sorted(docs_dir.glob("*.md")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for span in CODE_SPAN.findall(line):
+                for flag in LONG_FLAG.findall(span):
+                    if flag not in known:
+                        errors.append(
+                            f"{path}:{lineno}: `{flag}` is not an option of "
+                            "any repro subcommand"
+                        )
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -133,13 +171,15 @@ def main(argv: list[str] | None = None) -> int:
 
     errors = check_endpoints(args.docs_dir)
     errors.extend(check_cli_commands(args.docs_dir))
+    errors.extend(check_cli_flags(args.docs_dir))
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if not errors:
         routes = len(ROUTES) + len(PREFIX_ROUTES)
         print(
-            f"check_docs: ok — {routes} routes and {len(_COMMANDS)} CLI "
-            f"subcommands documented in {args.docs_dir}"
+            f"check_docs: ok — {routes} routes, {len(_COMMANDS)} CLI "
+            f"subcommands and every backticked flag documented in "
+            f"{args.docs_dir}"
         )
     return 1 if errors else 0
 

@@ -391,16 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help=(
-            "how long the coalescer waits after the first pending single "
-            "request before batching (default 0.002)"
-        ),
-    )
-    p_serve.add_argument(
         "--shards",
         type=_positive_int,
         default=1,
@@ -784,7 +774,6 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
             kernel=args.kernel,
             cache_limit=args.cache_limit,
             cache_path=args.cache_file,
-            batch_window=args.batch_window,
             max_connections=args.max_connections,
             tenants=args.tenants,
             ledger_file=args.ledger_file,
@@ -799,7 +788,6 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
             kernel=args.kernel,
             cache_limit=args.cache_limit,
             cache_path=args.cache_file,
-            batch_window=args.batch_window,
             max_connections=args.max_connections,
             tenants=args.tenants,
             ledger_file=args.ledger_file,

@@ -9,8 +9,9 @@ matches a server's. This package is that server, and its horizontal scaling tier
 - :mod:`repro.service.wire` — the JSON wire format (lossless in both
   arithmetic modes: floats as JSON numbers, Fractions as ``"num/den"``;
   non-finite floats are rejected at encode time).
-- :mod:`repro.service.httpbase` — the shared keep-alive HTTP/1.1 dialect:
-  per-connection request loops, read timeouts, connection caps.
+- :mod:`repro.service.httpbase` — what both tiers share: the keep-alive
+  HTTP/1.1 dialect (per-connection request loops, read timeouts,
+  connection caps), the one endpoint table, and the one coalescer.
 - :mod:`repro.service.server` — :class:`DisclosureService`, a stdlib-only
   asyncio HTTP server with one request resolver (every lookup body
   validated into one identity, memoized by its bytes), cached answers on

@@ -44,11 +44,13 @@ when every value the request needs is in the owning shard's cache, the
 answer is encoded on the router's event loop (``fast_hits``, for singles,
 ``/safety``, batches and ``/compare`` alike); otherwise the shard's engine
 path runs it. Process shards receive the original bytes untouched;
-concurrent singles bound for the same process shard are drained into one
-upstream batch (``coalesced_batches`` / ``coalesced_singles``), whose value
-lists are re-read from the stored bodies, so N pending questions cost one
-socket round trip; in-process shards rely on their own coalescer, which
-already lives on the same loop.
+concurrent singles bound for the same process shard are drained by the
+tier's one :class:`~repro.service.httpbase.Coalescer` (the class each
+shard's service also drains its engine groups with) into one upstream
+batch (``coalesced_batches`` / ``coalesced_singles``), whose value lists
+are re-read from the stored bodies, so N pending questions cost one
+socket round trip; in-process shards rely on their own service's
+coalescer, which already lives on the same loop.
 
 What the router guarantees:
 
@@ -71,10 +73,12 @@ What the router guarantees:
 - **aggregated observability**: ``/stats`` merges router counters with
   every shard's ``/stats``; ``/healthz`` reports per-shard liveness.
 
-The router speaks the same keep-alive HTTP dialect as the shards (both
-subclass :class:`~repro.service.httpbase.JsonHttpServer`) and keeps a
-small keep-alive connection pool **per process shard**, so a request
-costs one hop, not one handshake. Start one with
+The router speaks the same keep-alive HTTP dialect as the shards and
+serves the same endpoint table (both subclass
+:class:`~repro.service.httpbase.JsonHttpServer`, which dispatches from
+:data:`~repro.service.httpbase.ROUTES`), and keeps a small keep-alive
+connection pool **per process shard**, so a request costs one hop, not
+one handshake. Start one with
 ``repro serve --shards N [--shard-mode MODE]`` or embed
 :class:`BackgroundRouter` in tests.
 """
@@ -97,7 +101,9 @@ from typing import Any
 from repro.service.httpbase import (
     BackgroundHost,
     BadRequest,
+    Coalescer,
     JsonHttpServer,
+    RequestStats,
     Unavailable,
     guarded,
     require,
@@ -190,14 +196,16 @@ def table_shard_key(table: str, tenant: str | None) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-class RouterStats:
-    """The routing-layer counters behind the aggregated ``/stats``."""
+class RouterStats(RequestStats):
+    """The routing-layer counters behind the aggregated ``/stats``.
+
+    ``coalesced_batches`` counts upstream batches the router's coalescer
+    rebuilt from more than one single, and ``coalesced_singles`` the
+    singles they carried.
+    """
 
     def __init__(self) -> None:
-        self.started = time.monotonic()
-        self.requests_total = 0
-        self.by_endpoint: Counter[str] = Counter()
-        self.by_status: Counter[int] = Counter()
+        super().__init__()
         self.proxied = 0
         self.split_batches = 0
         self.whole_batches = 0
@@ -213,10 +221,7 @@ class RouterStats:
     def as_dict(self) -> dict[str, Any]:
         """The router counters as the ``/stats -> router`` JSON section."""
         return {
-            "uptime_s": round(time.monotonic() - self.started, 3),
-            "requests_total": self.requests_total,
-            "by_endpoint": dict(self.by_endpoint),
-            "by_status": {str(k): v for k, v in self.by_status.items()},
+            **super().as_dict(),
             "proxied": self.proxied,
             "split_batches": self.split_batches,
             "whole_batches": self.whole_batches,
@@ -294,17 +299,6 @@ class InprocShard:
         """No-op: an in-process shard holds no upstream sockets."""
 
 
-class _RouterPending:
-    """One single request awaiting the router-side upstream coalescer."""
-
-    __slots__ = ("body", "params_wire", "future")
-
-    def __init__(self, body: bytes, params_wire, future) -> None:
-        self.body = body
-        self.params_wire = params_wire
-        self.future = future
-
-
 async def _drain_stream(stream: asyncio.StreamReader) -> None:
     """Consume a shard's stdout after boot so the pipe never fills (a full
     pipe would eventually block the child's prints)."""
@@ -326,10 +320,8 @@ class ShardRouter(JsonHttpServer):
         ``"process"`` (subprocess shards), ``"inproc"`` (embedded shards)
         or ``"auto"`` (default; see :func:`resolve_shard_mode`). The
         resolved value is readable back from :attr:`shard_mode`.
-    workers, kernel, cache_limit, batch_window:
-        Passed through to every shard as its engine/coalescer knobs.
-        ``batch_window`` also paces the router's own upstream coalescer
-        for process shards.
+    workers, kernel, cache_limit:
+        Passed through to every shard as its engine knobs.
     cache_path:
         Shared persistence *prefix*: shard ``i`` persists to
         ``<prefix>.shard<i>.float.pkl`` / ``.exact.pkl`` (each shard owns
@@ -373,7 +365,6 @@ class ShardRouter(JsonHttpServer):
         kernel: str = "auto",
         cache_limit: int | None = None,
         cache_path: str | Path | None = None,
-        batch_window: float = 0.002,
         health_interval: float = 2.0,
         forward_timeout: float = 120.0,
         request_timeout: float | None = 30.0,
@@ -409,7 +400,6 @@ class ShardRouter(JsonHttpServer):
         self.ledger_path = (
             Path(ledger_file) if ledger_file is not None else None
         )
-        self.batch_window = batch_window
         self.health_interval = health_interval
         self.forward_timeout = forward_timeout
         #: The tenant topology: validated now (a bad file fails the boot,
@@ -435,12 +425,12 @@ class ShardRouter(JsonHttpServer):
         #: In-process shards are handed these identities and never
         #: resolve (or store) a lookup body themselves.
         self.resolver = RequestResolver(self.tenants)
-        #: The upstream coalescer's queue, keyed like the shard's own
-        #: coalescer plus the owning shard:
+        #: The upstream coalescer for process shards, keyed like a shard's
+        #: own coalescer plus the owning shard:
         #: ``(shard, (tenant, mode, model, canonical params, k))``.
-        self._pending: dict[tuple[int, tuple], list[_RouterPending]] = {}
-        self._kick: asyncio.Event | None = None
-        self._coalescer: asyncio.Task | None = None
+        self._coalescer = Coalescer(
+            self._run_group, name="repro-router-coalescer"
+        )
         self._drain_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
@@ -491,8 +481,6 @@ class ShardRouter(JsonHttpServer):
             str(self.workers),
             "--kernel",
             self.kernel,
-            "--batch-window",
-            str(self.batch_window),
         ]
         if self.cache_limit is not None:
             argv += ["--cache-limit", str(self.cache_limit)]
@@ -528,7 +516,6 @@ class ShardRouter(JsonHttpServer):
                 cache_limit=self.cache_limit,
                 cache_path=self._shard_cache_prefix(shard),
                 ledger_file=self._shard_ledger_file(shard),
-                batch_window=self.batch_window,
                 tenants=(
                     self.tenants_path
                     if self.tenants_path is not None
@@ -636,10 +623,7 @@ class ShardRouter(JsonHttpServer):
             self._health_task = asyncio.create_task(
                 self._health_loop(), name="repro-shard-health"
             )
-        self._kick = asyncio.Event()
-        self._coalescer = asyncio.create_task(
-            self._coalesce_loop(), name="repro-router-coalescer"
-        )
+        self._coalescer.start()
         await self.start_http()
 
     def _terminate_shards(self) -> None:
@@ -657,20 +641,13 @@ class ShardRouter(JsonHttpServer):
         (SIGTERM for processes, ``stop_local`` for embedded services) and
         wait for each to persist its cache."""
         await self.stop_http()
-        for task in (self._health_task, self._coalescer):
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-        for items in self._pending.values():
-            for pending in items:
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        Unavailable("service is shutting down")
-                    )
-        self._pending.clear()
+        if self._health_task is not None:
+            self._health_task.cancel()
+            try:
+                await self._health_task
+            except asyncio.CancelledError:
+                pass
+        await self._coalescer.stop()
         self._terminate_shards()
 
         async def _reap(shard) -> None:
@@ -860,157 +837,57 @@ class ShardRouter(JsonHttpServer):
         raise Unavailable(f"shard {shard.index} is unavailable")
 
     # ------------------------------------------------------------------
-    # The upstream coalescer (process shards)
+    # The upstream coalescer's group callback (process shards)
     # ------------------------------------------------------------------
-    async def _enqueue_single(
-        self, shard_index: int, ident: RequestIdentity, body: bytes
-    ) -> tuple[int, dict]:
-        """Queue one routed single and await its (possibly batched) answer."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._pending.setdefault((shard_index, ident.group), []).append(
-            _RouterPending(body, ident.params_wire, future)
-        )
-        assert self._kick is not None
-        self._kick.set()
-        return await future
-
-    async def _coalesce_loop(self) -> None:
-        """Drain pending singles into one upstream request per
-        ``(shard, tenant, mode, model, k, params)`` group.
-
-        Mirrors the shard-side coalescer: while upstream exchanges are in
-        flight, newly arriving singles keep queueing, so batches form
-        organically under concurrency even with ``batch_window = 0`` —
-        N waiting singles cost the socket one batch round trip instead
-        of N.
-        """
-        assert self._kick is not None
-        while True:
-            await self._kick.wait()
-            self._kick.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
-            while self._pending:
-                groups, self._pending = self._pending, {}
-                try:
-                    await asyncio.gather(
-                        *(
-                            self._run_group(key, items)
-                            for key, items in groups.items()
-                        )
-                    )
-                except asyncio.CancelledError:
-                    for items in groups.values():
-                        for pending in items:
-                            if not pending.future.done():
-                                pending.future.set_exception(
-                                    Unavailable("service is shutting down")
-                                )
-                    raise
-
-    async def _run_group(
-        self, key: tuple[int, tuple], items: list[_RouterPending]
-    ) -> None:
-        """One drained group: forward solo bytes untouched, or batch (the
-        value lists re-read from each single's stored body)."""
+    async def _run_group(self, key: tuple[int, tuple], items: list) -> list:
+        """One coalescer group of ``(body, params_wire)`` singles bound for
+        one process shard: forward a lone body untouched, or rebuild one
+        upstream batch (the value lists re-read from each stored body).
+        Returns one ``(status, answer)`` per single."""
         shard_index, (tenant, mode, model, _cparams, k) = key
         shard = self.shards[shard_index]
-        try:
-            if len(items) == 1:
-                results = [
-                    await self._forward(
-                        shard, "POST", "/disclosure", items[0].body
-                    )
-                ]
-            else:
-                batch = {
-                    "bucketizations": [
-                        parse_json_body(p.body)["buckets"] for p in items
-                    ],
-                    "ks": [k],
+        if len(items) == 1:
+            return [await self._forward(shard, "POST", "/disclosure", items[0][0])]
+        batch = {
+            "bucketizations": [
+                parse_json_body(body)["buckets"] for body, _ in items
+            ],
+            "ks": [k],
+            "model": model,
+            "exact": mode == "exact",
+        }
+        # The rebuilt batch names the model explicitly, which at the shard
+        # suppresses tenant *defaults* — so the group's effective params
+        # ride along explicitly too (every member shares them: params are
+        # part of the group key).
+        params_wire = items[0][1]
+        if params_wire is not None:
+            batch["params"] = params_wire
+        if tenant is not None:
+            batch["tenant"] = tenant
+        status, answer = await self._forward(
+            shard, "POST", "/disclosure", json.dumps(batch).encode()
+        )
+        if status != 200:
+            return [(status, answer)] * len(items)
+        self.stats.coalesced_batches += 1
+        self.stats.coalesced_singles += len(items)
+        return [
+            (
+                200,
+                {
                     "model": model,
+                    "k": k,
                     "exact": mode == "exact",
-                }
-                # The rebuilt batch names the model explicitly, which at
-                # the shard suppresses tenant *defaults* — so the group's
-                # effective params ride along explicitly too (every member
-                # shares them: params are part of the group key).
-                if items[0].params_wire is not None:
-                    batch["params"] = items[0].params_wire
-                if tenant is not None:
-                    batch["tenant"] = tenant
-                status, answer = await self._forward(
-                    shard, "POST", "/disclosure", json.dumps(batch).encode()
-                )
-                if status != 200:
-                    results = [(status, answer)] * len(items)
-                else:
-                    self.stats.coalesced_batches += 1
-                    self.stats.coalesced_singles += len(items)
-                    results = [
-                        (
-                            200,
-                            {
-                                "model": model,
-                                "k": k,
-                                "exact": mode == "exact",
-                                "value": series[str(k)],
-                            },
-                        )
-                        for series in answer["series"]
-                    ]
-        except Exception as exc:
-            for pending in items:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
-            return
-        for pending, result in zip(items, results):
-            if not pending.future.done():
-                pending.future.set_result(result)
+                    "value": series[str(k)],
+                },
+            )
+            for series in answer["series"]
+        ]
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def note_request(self, endpoint: str | None, status: int) -> None:
-        """Count one routed request in the router stats."""
-        self.stats.requests_total += 1
-        if endpoint is not None and status != 404:
-            self.stats.by_endpoint[endpoint] += 1
-        self.stats.by_status[status] += 1
-
-    async def _route(self, method: str, path: str, body: bytes):
-        """Dispatch one request: the same endpoint table as the shards
-        (exact paths plus the ``/releases/{table}/{version}`` prefix),
-        routed by plane key or, for publish traffic, table affinity."""
-        routes = {
-            "/disclosure": ("POST", self._ep_lookup),
-            "/safety": ("POST", self._ep_lookup),
-            "/compare": ("POST", self._ep_lookup),
-            "/publish": ("POST", self._ep_publish),
-            "/models": ("GET", self._ep_models),
-            "/releases": ("GET", self._ep_releases),
-            "/stats": ("GET", self._ep_stats),
-            "/healthz": ("GET", self._ep_healthz),
-        }
-        route = routes.get(path)
-        if route is None and path.startswith("/releases/"):
-            if method != "GET":
-                return 405, {"error": f"{path} only accepts GET"}
-            if self._stopping:
-                return 503, {"error": "service is shutting down"}
-            return await self._ep_release(path)
-        if route is None:
-            return 404, {"error": f"unknown path {path!r}"}
-        verb, handler = route
-        if method != verb:
-            return 405, {"error": f"{path} only accepts {verb}"}
-        if self._stopping:
-            return 503, {"error": "service is shutting down"}
-        if verb == "POST":
-            return await handler(path, body)
-        return await handler()
-
     def _owners(self, ident: RequestIdentity) -> tuple[int, ...]:
         """The owning shard of each of ``ident``'s bucketizations, keyed
         without building a ``Bucketization`` and cached on the identity
@@ -1057,7 +934,9 @@ class ShardRouter(JsonHttpServer):
                 shard, path, ident, lambda: (body, payload)
             )
         if ident.kind == "single" and not ident.witness:
-            return await self._enqueue_single(shard.index, ident, body)
+            return await self._coalescer.submit(
+                (shard.index, ident.group), (body, ident.params_wire)
+            )
         return await self._forward(shard, "POST", path, body)
 
     async def _split_batch(

@@ -4,8 +4,12 @@
 :class:`~repro.engine.engine.DisclosureEngine` instances — one per
 arithmetic mode — behind a small JSON-over-HTTP API, and adds the one thing
 a serving layer can do that a library call cannot: **request coalescing**.
-Concurrent single ``/disclosure`` requests are drained into groups of
-``(mode, model, k)`` and evaluated as one
+Concurrent single ``/disclosure`` and ``/safety`` requests that miss the
+cache are drained by the tier's one
+:class:`~repro.service.httpbase.Coalescer` (a fixed
+:data:`~repro.service.httpbase.COALESCE_WAIT` of 2 ms after the first)
+into groups of ``(tenant, mode, model, params, k)``, and each group is
+evaluated as one
 :meth:`~repro.engine.engine.DisclosureEngine.evaluate_many` call on the
 signature plane, so N clients asking about the same (or same-shaped)
 anonymization cost one computation, and the engines' worker processes
@@ -16,7 +20,8 @@ The HTTP dialect lives in :mod:`repro.service.httpbase`
 HTTP/1.1 with per-request read timeouts and connection caps — one
 connection carries many requests, which is what lets the pooled
 :class:`~repro.service.client.ServiceClient` amortize TCP setup away.
-Endpoints:
+Endpoints (the shard router serves the same table,
+:data:`~repro.service.httpbase.ROUTES`):
 
 =====================  ====  ==================================================
 path                   verb  body / answer
@@ -94,7 +99,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-from repro.bucketization.bucketization import Bucketization
 from repro.engine.backend import PersistentBackend
 from repro.engine.base import (
     AdversaryModel,
@@ -109,9 +113,13 @@ from repro.publish.engine import TABLE_NAME, RepublicationEngine
 from repro.publish.ledger import ReleaseLedger, multiset_to_wire
 from repro.service.httpbase import (
     MAX_BODY_BYTES,
+    PREFIX_ROUTES,
+    ROUTES,
     BackgroundHost,
     BadRequest,
+    Coalescer,
     JsonHttpServer,
+    RequestStats,
     Unavailable,
     require,
     require_ks,
@@ -213,27 +221,6 @@ def load_tenants(source: str | Path | Mapping[str, Any]) -> dict[str, dict]:
 #: The two engine modes a service always carries.
 _MODES = ("float", "exact")
 
-
-#: The exact-match endpoint table: ``path -> (verb, handler attribute)``.
-#: This is the single source of truth for what the service serves —
-#: :meth:`DisclosureService._route` dispatches from it and
-#: ``scripts/check_docs.py`` asserts ``docs/wire-protocol.md`` matches it.
-ROUTES: dict[str, tuple[str, str]] = {
-    "/disclosure": ("POST", "_ep_lookup"),
-    "/safety": ("POST", "_ep_lookup"),
-    "/compare": ("POST", "_ep_lookup"),
-    "/publish": ("POST", "_ep_publish"),
-    "/models": ("GET", "_ep_models"),
-    "/releases": ("GET", "_ep_releases"),
-    "/stats": ("GET", "_ep_stats"),
-    "/healthz": ("GET", "_ep_healthz"),
-}
-
-#: Parameterized endpoints, matched by path prefix. The handler receives
-#: the raw path and parses its trailing segments.
-PREFIX_ROUTES: dict[str, tuple[str, str]] = {
-    "/releases/": ("GET", "_ep_release"),
-}
 
 #: Bounds of the request memo: entries, and the largest body it keeps.
 MEMO_ENTRIES = 1024
@@ -504,14 +491,16 @@ class RequestResolver:
         )
 
 
-class ServiceStats:
+class ServiceStats(RequestStats):
     """The serving-layer counters behind ``/stats`` (engine counters live on
     each engine's own :class:`~repro.engine.engine.EngineStats`).
 
-    ``coalesced_batches`` counts engine calls that served **more than one**
-    concurrent single request; ``coalesced_singles`` counts the singles so
-    served — together they are the observable behind the coalescing claim
-    tested end-to-end and benchmarked in ``benchmarks/bench_service.py``.
+    ``coalesced_batches`` counts coalescer groups (one engine call each)
+    that served **more than one** concurrent single or ``/safety``
+    request; ``coalesced_singles`` counts the requests so served, and
+    ``max_coalesced`` the largest group — together they are the
+    observable behind the coalescing claim tested end-to-end and
+    benchmarked in ``benchmarks/bench_service.py``.
     ``cache_fast_hits`` counts singles and ``/safety`` requests answered
     from the engine cache on the event loop, ``series_fast_hits`` the
     ``/disclosure`` batches and ``/compare`` requests so answered, and
@@ -522,10 +511,7 @@ class ServiceStats:
     """
 
     def __init__(self) -> None:
-        self.started = time.monotonic()
-        self.requests_total = 0
-        self.by_endpoint: Counter[str] = Counter()
-        self.by_status: Counter[int] = Counter()
+        super().__init__()
         self.single_requests = 0
         self.batch_requests = 0
         self.cache_fast_hits = 0
@@ -563,10 +549,7 @@ class ServiceStats:
     def as_dict(self) -> dict[str, Any]:
         """The service counters as the ``/stats -> service`` JSON section."""
         return {
-            "uptime_s": round(time.monotonic() - self.started, 3),
-            "requests_total": self.requests_total,
-            "by_endpoint": dict(self.by_endpoint),
-            "by_status": {str(k): v for k, v in self.by_status.items()},
+            **super().as_dict(),
             "single_requests": self.single_requests,
             "batch_requests": self.batch_requests,
             "cache_fast_hits": self.cache_fast_hits,
@@ -583,21 +566,6 @@ class ServiceStats:
             "publish_multisets_reused": self.publish_multisets_reused,
             "cache_files_quarantined": self.cache_files_quarantined,
         }
-
-
-class _Pending:
-    """One enqueued single evaluation awaiting a coalesced batch."""
-
-    __slots__ = ("bucketization", "instance", "future")
-
-    def __init__(
-        self, bucketization: Bucketization, instance: AdversaryModel, future
-    ) -> None:
-        self.bucketization = bucketization
-        #: The resolved model instance — every member of a coalescer group
-        #: shares one (same name + canonical params => same engine memo).
-        self.instance = instance
-        self.future = future
 
 
 class DisclosureService(JsonHttpServer):
@@ -624,11 +592,6 @@ class DisclosureService(JsonHttpServer):
         other arithmetic mode) does not stop the boot: it is renamed to
         ``<file>.corrupt``, so the shutdown save cannot overwrite it, and
         its engine starts empty.
-    batch_window:
-        Seconds the coalescer waits after the first pending single request
-        before draining the queue — the knob trading a little latency for
-        batch size. 0 drains immediately (still coalescing whatever piled
-        up while the engine thread was busy).
     request_timeout:
         Seconds a keep-alive connection may sit idle, or take to deliver a
         complete request, before it is dropped (slow-loris guard; ``None``
@@ -665,7 +628,6 @@ class DisclosureService(JsonHttpServer):
         kernel: str = "auto",
         cache_limit: int | None = None,
         cache_path: str | Path | None = None,
-        batch_window: float = 0.002,
         request_timeout: float | None = 30.0,
         max_connections: int | None = None,
         tenants: str | Path | Mapping[str, Any] | None = None,
@@ -677,9 +639,6 @@ class DisclosureService(JsonHttpServer):
             request_timeout=request_timeout,
             max_connections=max_connections,
         )
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
-        self.batch_window = batch_window
         self.cache_path = Path(cache_path) if cache_path is not None else None
 
         def _engine_pair() -> dict[str, DisclosureEngine]:
@@ -728,17 +687,13 @@ class DisclosureService(JsonHttpServer):
         }
         # All engine work runs on ONE executor thread: the engines are not
         # thread-safe, and the serialization is what piles concurrent
-        # singles into the pending queue for the coalescer to drain.
+        # singles into the coalescer's queue while a group runs.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-engine"
         )
-        #: Pending singles, grouped by everything that selects an engine
-        #: call: ``(tenant, mode, model name, canonical params, k)``.
-        self._pending: dict[
-            tuple[str | None, str, str, tuple, int], list[_Pending]
-        ] = {}
-        self._kick: asyncio.Event | None = None
-        self._dispatcher: asyncio.Task | None = None
+        #: Cache-missing singles and ``/safety`` requests, grouped by
+        #: everything that selects an engine call (:attr:`RequestIdentity.group`).
+        self._coalescer = Coalescer(self._run_group, name="repro-coalescer")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -788,10 +743,7 @@ class DisclosureService(JsonHttpServer):
                         self.loaded_entries[mode] = loaded
                     else:
                         self.tenant_loaded[(tenant, mode)] = loaded
-        self._kick = asyncio.Event()
-        self._dispatcher = asyncio.create_task(
-            self._dispatch_loop(), name="repro-coalescer"
-        )
+        self._coalescer.start()
 
     def _load_cache_file(self, engine: DisclosureEngine, path: Path) -> int:
         """Load one persisted cache file into ``engine``; a file that fails
@@ -822,19 +774,7 @@ class DisclosureService(JsonHttpServer):
         :meth:`start_local`): stop the coalescer, fail queued work with
         503, persist both caches, close the engines."""
         self._stopping = True
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-        for items in self._pending.values():
-            for pending in items:
-                if not pending.future.done():
-                    pending.future.set_exception(
-                        Unavailable("service is shutting down")
-                    )
-        self._pending.clear()
+        await self._coalescer.stop()
         if self.cache_path is not None:
             for tenant, mode, engine in self._all_engines():
                 saved = engine.save_cache(self._mode_cache_file(mode, tenant))
@@ -846,117 +786,32 @@ class DisclosureService(JsonHttpServer):
         self.ledger.close()
 
     # ------------------------------------------------------------------
-    # The coalescer
+    # The coalescer's group callback, and the endpoints
     # ------------------------------------------------------------------
-    async def _enqueue_single(
-        self, ident: RequestIdentity, bucketization: Bucketization
-    ):
-        """Queue one single evaluation and await its coalesced result."""
+    async def _run_group(self, key: tuple, items: list) -> list:
+        """One coalescer group of ``(instance, bucketization)`` items, all
+        with group ``key``: ``evaluate`` for a lone item, one
+        ``evaluate_many`` batch for several, on the engine thread."""
+        tenant, mode, _model, _cparams, k = key
+        engine = self._engines_for(tenant)[mode]
+        instance = items[0][0]
+        bs = [bucketization for _, bucketization in items]
         loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._pending.setdefault(ident.group, []).append(
-            _Pending(bucketization, ident.instances[0], future)
-        )
-        assert self._kick is not None
-        self._kick.set()
-        return await future
-
-    async def _dispatch_loop(self) -> None:
-        """Drain pending singles into engine batches, one per
-        ``(tenant, mode, model, canonical params, k)`` group.
-
-        While a batch runs on the engine thread, newly arriving singles keep
-        queueing; the loop re-drains until the queue is empty, so under load
-        batches form organically even with ``batch_window = 0``.
-        """
-        assert self._kick is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            await self._kick.wait()
-            self._kick.clear()
-            if self.batch_window > 0:
-                await asyncio.sleep(self.batch_window)
-            while self._pending:
-                groups, self._pending = self._pending, {}
-                try:
-                    for (tenant, mode, _model, _cp, k), items in groups.items():
-                        engine = self._engines_for(tenant)[mode]
-                        instance = items[0].instance
-                        bs = [p.bucketization for p in items]
-                        try:
-                            if len(bs) == 1:
-                                values = [
-                                    await loop.run_in_executor(
-                                        self._executor,
-                                        lambda: engine.evaluate(
-                                            bs[0], k, model=instance
-                                        ),
-                                    )
-                                ]
-                            else:
-                                series = await loop.run_in_executor(
-                                    self._executor,
-                                    lambda: engine.evaluate_many(
-                                        bs, [k], model=instance
-                                    ),
-                                )
-                                values = [s[k] for s in series]
-                        except Exception as exc:
-                            for pending in items:
-                                if not pending.future.done():
-                                    pending.future.set_exception(exc)
-                            continue
-                        self.stats.note_coalesced(len(items))
-                        for pending, value in zip(items, values):
-                            if not pending.future.done():
-                                pending.future.set_result(value)
-                except asyncio.CancelledError:
-                    # stop() cancelled us mid-drain: the drained groups are
-                    # no longer in self._pending, so fail their unresolved
-                    # futures here or their handlers would hang forever.
-                    for items in groups.values():
-                        for pending in items:
-                            if not pending.future.done():
-                                pending.future.set_exception(
-                                    Unavailable("service is shutting down")
-                                )
-                    raise
-
-    # ------------------------------------------------------------------
-    # Routing and endpoints
-    # ------------------------------------------------------------------
-    def note_request(self, endpoint: str | None, status: int) -> None:
-        """Count one handled request in the service stats."""
-        self.stats.requests_total += 1
-        if endpoint is not None and status != 404:
-            # Unknown paths are counted by status only: a public socket
-            # must not let probes grow the by-endpoint counter unboundedly.
-            self.stats.by_endpoint[endpoint] += 1
-        self.stats.by_status[status] += 1
-
-    async def _route(self, method: str, path: str, body: bytes):
-        """Dispatch from :data:`ROUTES` / :data:`PREFIX_ROUTES` (404
-        unknown path, 405 wrong verb, 503 while stopping)."""
-        route = ROUTES.get(path)
-        prefixed = False
-        if route is None:
-            for prefix, entry in PREFIX_ROUTES.items():
-                if path.startswith(prefix):
-                    route, prefixed = entry, True
-                    break
-        if route is None:
-            return 404, {"error": f"unknown path {path!r}"}
-        verb, attr = route
-        handler = getattr(self, attr)
-        if method != verb:
-            return 405, {"error": f"{path} only accepts {verb}"}
-        if self._stopping:
-            return 503, {"error": "service is shutting down"}
-        if prefixed:
-            return await handler(path)
-        if verb == "POST":
-            return await handler(path, body)
-        return await handler()
+        if len(bs) == 1:
+            values = [
+                await loop.run_in_executor(
+                    self._executor,
+                    lambda: engine.evaluate(bs[0], k, model=instance),
+                )
+            ]
+        else:
+            series = await loop.run_in_executor(
+                self._executor,
+                lambda: engine.evaluate_many(bs, [k], model=instance),
+            )
+            values = [s[k] for s in series]
+        self.stats.note_coalesced(len(items))
+        return values
 
     def _engines_for(self, tenant: str | None) -> dict[str, DisclosureEngine]:
         return self.engines if tenant is None else self.tenant_engines[tenant]
@@ -1059,7 +914,9 @@ class DisclosureService(JsonHttpServer):
             )
         if ident.kind == "single":
             self.stats.single_requests += 1
-        value = await self._enqueue_single(ident, bucketization)
+        value = await self._coalescer.submit(
+            ident.group, (ident.instances[0], bucketization)
+        )
         answer = self._value_answer(ident, value)
         if ident.witness:
             instance = ident.instances[0]

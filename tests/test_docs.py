@@ -87,6 +87,17 @@ class TestCheckDocs:
         assert result.returncode == 1
         assert "'estimate'" in result.stderr
 
+    def test_unknown_cli_flag_fails(self, tmp_path):
+        docs_dir = copy_docs(tmp_path)
+        guide = docs_dir / "deployment.md"
+        guide.write_text(
+            guide.read_text() + "\nTune it with `repro serve --made-up-flag 3`.\n"
+        )
+        result = run_checker("--docs-dir", str(docs_dir))
+        assert result.returncode == 1
+        assert "`--made-up-flag` is not an option" in result.stderr
+        assert "deployment.md:" in result.stderr
+
     def test_missing_wire_doc_fails(self, tmp_path):
         docs_dir = copy_docs(tmp_path)
         (docs_dir / "wire-protocol.md").unlink()

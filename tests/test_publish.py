@@ -259,7 +259,7 @@ class TestRepublicationEngine:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def service():
-    with BackgroundService(batch_window=0.0) as bg:
+    with BackgroundService() as bg:
         yield bg
 
 
@@ -331,7 +331,7 @@ class TestServiceEndpoints:
             "zeta": {"model": "implication"},
         }
         with BackgroundService(
-            batch_window=0.0, tenants=tenants
+            tenants=tenants
         ) as bg:
             client = bg.client()
             a = client.publish("t", V1_LISTS, c=0.9, k=1, tenant="acme")
@@ -344,11 +344,11 @@ class TestServiceEndpoints:
     def test_ledger_file_persists_across_restart(self, tmp_path):
         ledger = tmp_path / "ledger.sqlite"
         with BackgroundService(
-            batch_window=0.0, ledger_file=ledger
+            ledger_file=ledger
         ) as bg:
             bg.client().publish("durable", V1_LISTS, c=0.9, k=1)
         with BackgroundService(
-            batch_window=0.0, ledger_file=ledger
+            ledger_file=ledger
         ) as bg:
             verdict = bg.client().publish("durable", V2_LISTS, c=0.9, k=1)
             assert verdict["version"] == 2
@@ -364,7 +364,6 @@ class TestRouterForwarding:
         with BackgroundRouter(
             shards=2,
             shard_mode=shard_mode,
-            batch_window=0.0,
         ) as bg:
             client = bg.client()
             v1 = client.publish("demo", V1_LISTS, c=0.9, k=1)

@@ -17,6 +17,7 @@ The router's contract (ISSUE 5 acceptance criteria):
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import random
@@ -26,6 +27,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from http.client import HTTPConnection
 from pathlib import Path
@@ -40,7 +42,7 @@ from repro.service import (
     ServiceError,
     ShardRouter,
 )
-from repro.service.httpbase import MAX_BODY_BYTES
+from repro.service.httpbase import MAX_BODY_BYTES, PREFIX_ROUTES, ROUTES
 from repro.service.router import (
     BackgroundRouter,
     resolve_shard_mode,
@@ -70,7 +72,6 @@ def router(request):
     with BackgroundRouter(
         shards=SHARDS,
         shard_mode=request.param,
-        batch_window=0.01,
     ) as bg:
         yield bg
 
@@ -353,7 +354,6 @@ class TestParametricRouting:
             with BackgroundRouter(
                 shards=SHARDS,
                 shard_mode="inproc",
-                batch_window=0.0,
             ) as bg:
                 client = bg.client()
                 value = client.disclosure(
@@ -416,7 +416,6 @@ class TestRouterTenants:
         with BackgroundRouter(
             shards=2,
             shard_mode=shard_mode,
-            batch_window=0.0,
             cache_path=prefix,
             tenants=ROUTER_TENANTS,
         ) as bg:
@@ -551,7 +550,7 @@ class TestShardModes:
         )
         expect = DisclosureEngine().evaluate(b, 2)
         with BackgroundRouter(
-            shards=2, shard_mode="inproc", batch_window=0.0
+            shards=2, shard_mode="inproc"
         ) as bg:
             client = bg.client()
             repeats = 5
@@ -567,25 +566,30 @@ class TestShardModes:
 
     def test_router_coalesces_concurrent_singles_upstream(self):
         """Concurrent identical singles bound for one process shard cost
-        the socket one upstream batch, not N round trips."""
+        the socket one upstream batch, not N round trips. The router's
+        upstream hop is held until every single has been routed, so the
+        grouping does not depend on a timing window."""
         b = Bucketization.from_value_lists(
             [["c", "o", "a", "l"], ["e", "s", "c", "e"]]
         )
         expect = DisclosureEngine().evaluate(b, 3, model="negation")
-        with BackgroundRouter(
-            shards=2,
-            shard_mode="process",
-            batch_window=0.02,
-        ) as bg:
+        with BackgroundRouter(shards=2, shard_mode="process") as bg:
+            router = bg.service
+            gate = asyncio.Event()
+            forward = router._forward
+
+            async def held_forward(*args):
+                await gate.wait()
+                return await forward(*args)
+
+            router._forward = held_forward
             workers = 6
             shared = ServiceClient(bg.host, bg.port, pool_size=workers)
-            barrier = threading.Barrier(workers)
             results: list = [None] * workers
             errors: list = []
 
             def hit(index: int) -> None:
                 try:
-                    barrier.wait(timeout=60)
                     results[index] = shared.disclosure(b, 3, model="negation")
                 except BaseException as exc:
                     errors.append(exc)
@@ -596,15 +600,28 @@ class TestShardModes:
             ]
             for t in threads:
                 t.start()
+            try:
+                # Every body after the first is a memo hit, counted just
+                # before the single is queued.
+                deadline = time.monotonic() + 60
+                while router.stats.route_memo_hits < workers - 1 and not errors:
+                    assert time.monotonic() < deadline, "singles never routed"
+                    time.sleep(0.005)
+            finally:
+                bg._loop.call_soon_threadsafe(gate.set)
             for t in threads:
                 t.join(timeout=120)
+                assert not t.is_alive(), "a single never got its answer"
             shared.close()
             assert not errors
             assert all(value == expect for value in results)
-            router = bg.client().stats()["router"]
-            assert router["shard_mode"] == "process"
-            assert router["coalesced_batches"] >= 1
-            assert router["coalesced_singles"] >= 2
+            with bg.client() as client:
+                stats = client.stats()["router"]
+            assert stats["shard_mode"] == "process"
+            # At most two groups left: the one held at the upstream hop,
+            # and every single queued behind it.
+            assert 1 <= stats["coalesced_batches"] <= 2
+            assert stats["coalesced_singles"] >= workers - 1
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +681,17 @@ class TestRouterEndpoints:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def single_service():
-    with BackgroundService(batch_window=0.0) as bg:
+    with BackgroundService() as bg:
         yield bg
 
 
-def _post(host, path: str, body: bytes) -> tuple[int, bytes]:
+def _send(
+    host, path: str, body: bytes = b"", method: str = "POST"
+) -> tuple[int, bytes]:
     connection = HTTPConnection(host.host, host.port, timeout=60)
     try:
         connection.request(
-            "POST", path, body=body, headers={"Content-Type": "application/json"}
+            method, path, body=body, headers={"Content-Type": "application/json"}
         )
         response = connection.getresponse()
         return response.status, response.read()
@@ -726,15 +745,15 @@ class TestOneResolver:
     )
     def test_same_400_in_every_topology(self, router, single_service, path, body):
         data = body if isinstance(body, bytes) else json.dumps(body).encode()
-        expect = _post(single_service, path, data)
+        expect = _send(single_service, path, data)
         assert expect[0] == 400
         memos = [single_service.service.resolver._memo, router.service.resolver._memo]
         sizes = [len(memo) for memo in memos]
         # Sent twice everywhere: a rejected body is never memoized, so the
         # second answer is re-validated and still the same 400.
         for host in (single_service, router):
-            assert _post(host, path, data) == expect
-            assert _post(host, path, data) == expect
+            assert _send(host, path, data) == expect
+            assert _send(host, path, data) == expect
         assert [len(memo) for memo in memos] == sizes
 
     def test_same_answer_bytes_in_every_topology(self, router, single_service):
@@ -760,12 +779,39 @@ class TestOneResolver:
         for _round in range(3):
             for path, body in bodies:
                 data = json.dumps(body).encode()
-                expect = _post(single_service, path, data)
+                expect = _send(single_service, path, data)
                 assert expect[0] == 200
-                assert _post(router, path, data) == expect
+                assert _send(router, path, data) == expect
         with router.client() as client:
             totals = client.stats()["totals"]
         assert totals["series_fast_hits"] >= 3
+
+
+#: Every registered route, with a concrete path for each prefix route.
+ROUTE_PATHS = [(path, verb) for path, (verb, _) in ROUTES.items()] + [
+    (f"{prefix}t/1", verb) for prefix, (verb, _) in PREFIX_ROUTES.items()
+]
+
+
+class TestOneRouteTable:
+    """Both tiers dispatch from one table, so they refuse alike."""
+
+    @pytest.mark.parametrize(
+        "path,verb", ROUTE_PATHS, ids=[path for path, _ in ROUTE_PATHS]
+    )
+    def test_wrong_verb_is_the_same_405(self, router, single_service, path, verb):
+        wrong = "GET" if verb == "POST" else "POST"
+        expect = _send(single_service, path, method=wrong)
+        assert expect[0] == 405
+        assert json.loads(expect[1]) == {"error": f"{path} only accepts {verb}"}
+        assert _send(router, path, method=wrong) == expect
+
+    @pytest.mark.parametrize("path", ["/nowhere", "/", "/releasesx", "/stats/"])
+    def test_unknown_path_is_the_same_404(self, router, single_service, path):
+        expect = _send(single_service, path, method="GET")
+        assert expect[0] == 404
+        assert json.loads(expect[1]) == {"error": f"unknown path {path!r}"}
+        assert _send(router, path, method="GET") == expect
 
 
 class TestOversizedBody:
@@ -808,7 +854,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode="process",  # only subprocess shards can be killed
-            batch_window=0.0,
             health_interval=0.2,
         ) as bg:
             client = bg.client()
@@ -896,7 +941,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode=shard_mode,
-            batch_window=0.0,
             cache_path=prefix,
         ) as bg:
             first = bg.client().disclosure(b, 3)
@@ -906,7 +950,6 @@ class TestSupervision:
         with BackgroundRouter(
             shards=SHARDS,
             shard_mode=shard_mode,
-            batch_window=0.0,
             cache_path=prefix,
         ) as bg:
             client = bg.client()

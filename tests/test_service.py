@@ -56,7 +56,7 @@ def figure3_like() -> Bucketization:
 @pytest.fixture(scope="module")
 def service():
     """One shared background service for the read-mostly endpoint tests."""
-    with BackgroundService(batch_window=0.0) as bg:
+    with BackgroundService() as bg:
         yield bg
 
 
@@ -185,7 +185,7 @@ class TestConcurrency:
         ]
         results: list = [None] * len(jobs)
         errors: list = []
-        with BackgroundService(batch_window=0.01) as bg:
+        with BackgroundService() as bg:
             host, port = bg.host, bg.port
 
             def hit(index: int) -> None:
@@ -212,63 +212,77 @@ class TestConcurrency:
             )
 
     def test_concurrent_singles_coalesce_into_one_batch(self):
+        """Singles queued while the engine thread is busy leave together:
+        the thread is held until every single is counted, so the grouping
+        does not depend on a timing window."""
         bs = _random_bucketizations(self.CLIENTS, seed=7)
-        with BackgroundService(batch_window=0.25) as bg:
-            host, port = bg.host, bg.port
-            barrier = threading.Barrier(self.CLIENTS)
-
-            def hit(index: int) -> None:
-                barrier.wait(timeout=60)
-                ServiceClient(host, port).disclosure(bs[index], 2)
-
-            threads = [
-                threading.Thread(target=hit, args=(i,))
-                for i in range(self.CLIENTS)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            stats = bg.client().stats()["service"]
+        with BackgroundService() as bg:
+            _fire_behind_held_engine(
+                bg, [lambda b=b: _single(bg, b, 2) for b in bs]
+            )
+            with bg.client() as client:
+                stats = client.stats()["service"]
         assert stats["single_requests"] == self.CLIENTS
-        # All singles arrived within the batch window, so at least one real
-        # coalesced batch formed (and no request was dropped).
-        assert stats["coalesced_batches"] >= 1
-        assert stats["max_coalesced"] >= 2
-        assert (
-            stats["coalesced_singles"] + stats["single_requests"]
-            >= self.CLIENTS
-        )
+        # At most two groups drained: the one handed to the held engine
+        # thread, and every single queued behind it.
+        assert 1 <= stats["coalesced_batches"] <= 2
+        assert stats["max_coalesced"] >= self.CLIENTS // 2
+        assert stats["coalesced_singles"] >= self.CLIENTS - 1
 
     def test_coalesced_identical_requests_compute_once(self, figure3_like):
         """N concurrent identical singles: one unique plane key, so the
         engine evaluates once and everyone gets the same bits."""
         n = 6
-        with BackgroundService(batch_window=0.25) as bg:
-            host, port = bg.host, bg.port
-            barrier = threading.Barrier(n)
-            values: list = [None] * n
-
-            def hit(index: int) -> None:
-                barrier.wait(timeout=60)
-                values[index] = ServiceClient(host, port).disclosure(
-                    figure3_like, 3
-                )
-
-            threads = [
-                threading.Thread(target=hit, args=(i,)) for i in range(n)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            engine_stats = bg.client().stats()["engines"]["float"]["stats"]
+        with BackgroundService() as bg:
+            values = _fire_behind_held_engine(
+                bg, [lambda: _single(bg, figure3_like, 3)] * n
+            )
+            with bg.client() as client:
+                engine_stats = client.stats()["engines"]["float"]["stats"]
         direct = DisclosureEngine().evaluate(figure3_like, 3)
         assert values == [direct] * n
-        # evaluate_many counts one evaluation per requested series entry,
-        # but the unique-key dedup means the model ran at most twice (once
-        # for any pre-window solo dispatch, once for the coalesced rest).
-        assert engine_stats["misses"] <= 2
+        # Every single was queued before the engine ran, so the first group
+        # computed the one plane key and any second group hit the cache.
+        assert engine_stats["misses"] == 1
+
+
+def _single(bg, bucketization: Bucketization, k: int):
+    with bg.client() as client:
+        return client.disclosure(bucketization, k)
+
+
+def _fire_behind_held_engine(bg, calls) -> list:
+    """Run each of ``calls`` (single requests) on its own thread while
+    ``bg``'s one engine thread is parked on a gate job, release the gate
+    once the service has counted every single, and return the answers."""
+    gate = threading.Event()
+    bg.service._executor.submit(gate.wait)
+    results: list = [None] * len(calls)
+    errors: list = []
+
+    def run(index: int) -> None:
+        try:
+            results[index] = calls[index]()
+        except BaseException as exc:  # surfaces in the main thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(i,)) for i in range(len(calls))
+    ]
+    for t in threads:
+        t.start()
+    try:
+        deadline = time.monotonic() + 60
+        while bg.service.stats.single_requests < len(calls) and not errors:
+            assert time.monotonic() < deadline, "singles never all arrived"
+            time.sleep(0.005)
+    finally:
+        gate.set()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive(), "a single never got its answer"
+    assert not errors
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +506,12 @@ class TestOneBodyOneAnswer:
     def test_same_bytes_cold_partly_warm_and_cached(self, path, body, warm, exact):
         body, warm = dict(body, exact=exact), dict(warm, exact=exact)
         data = json.dumps(body).encode()
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             cold = _raw_bytes(bg.host, bg.port, path, data)
             assert cold[0] == 200
             with bg.client() as client:
                 assert client.stats()["service"]["series_fast_hits"] == 0
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             status, _ = _raw_bytes(
                 bg.host, bg.port, "/disclosure", json.dumps(warm).encode()
             )
@@ -524,7 +538,7 @@ class TestOneBodyOneAnswer:
 # ---------------------------------------------------------------------------
 class TestKeepAlive:
     def test_one_connection_serves_many_requests(self, figure3_like):
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 body = json.dumps(
@@ -551,7 +565,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] == 3  # requests 2..4
 
     def test_connection_close_header_honored(self, figure3_like):
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             connection = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
                 connection.request(
@@ -565,7 +579,7 @@ class TestKeepAlive:
                 connection.close()
 
     def test_pooled_client_reuses_one_connection(self, figure3_like):
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             for k in range(5):
                 client.disclosure(figure3_like, k)
@@ -575,7 +589,7 @@ class TestKeepAlive:
         assert connections["keepalive_requests"] >= 5
 
     def test_per_connection_client_opens_one_each(self, figure3_like):
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             client = ServiceClient(bg.host, bg.port, keep_alive=False)
             for k in range(3):
                 client.disclosure(figure3_like, k)
@@ -587,7 +601,7 @@ class TestKeepAlive:
         """An idle-timeout-closed server connection must not surface: the
         pooled client detects the stale socket and replays."""
         with BackgroundService(
-            batch_window=0.0, request_timeout=0.3
+            request_timeout=0.3
         ) as bg:
             client = ServiceClient(bg.host, bg.port, pool_size=2)
             first = client.disclosure(figure3_like, 2)
@@ -597,7 +611,7 @@ class TestKeepAlive:
 
     def test_max_connections_cap_is_503(self):
         with BackgroundService(
-            batch_window=0.0, max_connections=1
+            max_connections=1
         ) as bg:
             holder = HTTPConnection(bg.host, bg.port, timeout=30)
             try:
@@ -774,7 +788,7 @@ class TestParamsAndTenants:
         assert Fraction(float(q)) != q
 
     def test_distinct_params_never_share_a_cache_entry(self, small_pair):
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             client = bg.client()
             low = client.disclosure(
                 small_pair, 1, model="probabilistic",
@@ -846,7 +860,6 @@ class TestParamsAndTenants:
         self, tmp_path, figure3_like
     ):
         with BackgroundService(
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=tmp_path / "fleet",
         ) as bg:
@@ -892,7 +905,6 @@ class TestParamsAndTenants:
         engines and two cache files — no cross-tenant sharing."""
         prefix = tmp_path / "iso"
         with BackgroundService(
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -911,7 +923,6 @@ class TestParamsAndTenants:
         # A restarted service reloads each tenant's entries into *its*
         # engine only.
         with BackgroundService(
-            batch_window=0.0,
             tenants=TENANTS,
             cache_path=prefix,
         ) as bg:
@@ -962,12 +973,12 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
     """The in-process lifecycle: stop saves, a fresh service loads."""
     prefix = tmp_path / "bg-cache"
     with BackgroundService(
-        batch_window=0.0, cache_path=prefix
+        cache_path=prefix
     ) as bg:
         first = bg.client().disclosure(figure3_like, 3, model="negation")
     assert (tmp_path / "bg-cache.float.pkl").exists()
     with BackgroundService(
-        batch_window=0.0, cache_path=prefix
+        cache_path=prefix
     ) as bg:
         client = bg.client()
         stats = client.stats()
@@ -986,7 +997,7 @@ def test_background_service_cache_roundtrip(tmp_path, figure3_like):
 # ---------------------------------------------------------------------------
 def test_stats_report_persistent_workers_when_workers_above_one():
     bs = _random_bucketizations(8, seed=81)
-    with BackgroundService(workers=2, batch_window=0.0) as bg:
+    with BackgroundService(workers=2) as bg:
         with bg.client() as client:
             assert client.disclosure_batch(bs, [1, 2]) == DisclosureEngine(
                 backend="serial"
@@ -996,7 +1007,7 @@ def test_stats_report_persistent_workers_when_workers_above_one():
         assert backend["parallel"] is True
         assert backend["batches_run"] == 1
         assert backend["workers_alive"] == 2
-    with BackgroundService(workers=1, batch_window=0.0) as bg:
+    with BackgroundService(workers=1) as bg:
         with bg.client() as client:
             client.disclosure_batch(bs, [1, 2])
             stats = client.stats()
@@ -1036,11 +1047,10 @@ def test_bad_cache_file_is_quarantined_and_boot_continues(
     path.write_bytes(bad)
     if where == "shard":
         host = BackgroundRouter(
-            shards=2, shard_mode="inproc", batch_window=0.0, cache_path=prefix
+            shards=2, shard_mode="inproc", cache_path=prefix
         )
     else:
         host = BackgroundService(
-            batch_window=0.0,
             cache_path=prefix,
             tenants=TENANTS if where == "tenant" else None,
         )

@@ -110,7 +110,7 @@ class TestNonFinite:
             raise ValueError("non-finite value nan cannot cross the wire")
 
         b = [["flu", "flu", "cold", "mumps"]]
-        with BackgroundService(batch_window=0.0) as bg:
+        with BackgroundService() as bg:
             client = bg.client()
             monkeypatch.setattr(server_module, "encode_value", bad_encode)
             with pytest.raises(ServiceError) as excinfo:
