@@ -11,9 +11,14 @@ is that dialect, factored out once:
   ``Connection: keep-alive``). This is the serving tier's main throughput
   lever — the PR-4 protocol paid a TCP handshake per request and
   documented that as its cap.
-- **read timeouts**: an idle keep-alive connection is dropped silently
-  after ``request_timeout`` seconds; a connection that stalls *mid*
-  request gets a 400 and is closed (slow-loris guard).
+- **one read deadline per connection**: an idle keep-alive connection
+  (or one with a half-sent request line) is closed without a response
+  after ``request_timeout`` seconds; a request that stalls after its
+  request line gets a 400 and a close (slow-loris guard). The deadline is
+  one timer per connection, re-armed by each read and disarmed while the
+  handler runs, so a keep-alive request schedules no Task and no timer of
+  its own. A request or header line over :data:`MAX_LINE_BYTES` is a 400
+  and a close.
 - **connection caps**: ``max_connections`` bounds concurrently open
   connections; excess connections receive an immediate 503 and a close.
   :class:`ConnectionStats` counts open/total/peak/keep-alive reuse for
@@ -44,6 +49,7 @@ from repro.errors import ReproError
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "MAX_LINE_BYTES",
     "ROUTES",
     "PREFIX_ROUTES",
     "COALESCE_WAIT",
@@ -63,6 +69,11 @@ __all__ = [
 
 #: Largest accepted request body (a bucketization of ~a million values).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Longest accepted request line or header line (asyncio's stream limit).
+MAX_LINE_BYTES = 64 * 1024
+
+_LINE_TOO_LONG = "request line or header too long"
 
 #: The exact-match endpoint table: ``path -> (verb, handler attribute)``.
 #: This is the single source of truth for what both tiers serve —
@@ -327,6 +338,65 @@ class ConnectionStats:
         }
 
 
+class _ReadDeadline:
+    """The one read deadline of a connection.
+
+    :meth:`arm` only stores ``now + timeout``; the single timer behind it
+    is created on the first :meth:`arm` and, when it fires early because
+    a later :meth:`arm` moved the deadline, reschedules itself for the
+    stored time. When it fires while disarmed it lapses, and the next
+    :meth:`arm` starts it again. So the timers a connection schedules are
+    bounded by its lifetime over the timeout, not by its request count
+    (``asyncio.wait_for`` costs a timer per read, and before Python 3.12 a
+    Task too).
+
+    Expiry sets :class:`asyncio.TimeoutError` on the stream reader, which
+    raises it from the pending read, and from every later read and
+    ``drain()`` (the connection closes after a timeout). The connection
+    task is never cancelled, so a cancellation it sees is always a
+    shutdown. With ``timeout=None`` it never expires.
+    """
+
+    __slots__ = ("_loop", "_reader", "_timeout", "_expires", "_timer")
+
+    def __init__(
+        self, reader: asyncio.StreamReader, timeout: float | None
+    ) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._reader = reader
+        self._timeout = timeout
+        self._expires: float | None = None
+        self._timer: asyncio.TimerHandle | None = None
+
+    def arm(self) -> None:
+        """Give the reads from now on ``timeout`` seconds to finish."""
+        if self._timeout is None:
+            return
+        self._expires = expires = self._loop.time() + self._timeout
+        if self._timer is None:
+            self._timer = self._loop.call_at(expires, self._expire)
+
+    def disarm(self) -> None:
+        """Stop the clock (while the handler runs and the response goes out)."""
+        self._expires = None
+
+    def cancel(self) -> None:
+        """Drop the timer (the connection is closing)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _expire(self) -> None:
+        expires = self._expires
+        if expires is None:
+            self._timer = None
+        elif self._loop.time() < expires:
+            self._timer = self._loop.call_at(expires, self._expire)
+        else:
+            self._timer = None
+            self._reader.set_exception(asyncio.TimeoutError())
+
+
 class JsonHttpServer:
     """An asyncio socket server speaking keep-alive JSON-over-HTTP/1.1.
 
@@ -394,7 +464,10 @@ class JsonHttpServer:
         # buffer for the life of the process.
         bytes(1 << 20)
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection,
+            self.host,
+            self._requested_port,
+            limit=MAX_LINE_BYTES,
         )
 
     async def stop_http(self) -> None:
@@ -488,10 +561,11 @@ class JsonHttpServer:
         stats.max_open = max(stats.max_open, stats.open)
         set_nodelay(writer.get_extra_info("socket"))
         self._open_writers.add(writer)
+        deadline = _ReadDeadline(reader, self.request_timeout)
         served = 0
         try:
             while not self._stopping:
-                if not await self._serve_one(reader, writer, served):
+                if not await self._serve_one(reader, writer, deadline, served):
                     break
                 served += 1
         except asyncio.CancelledError:
@@ -501,6 +575,7 @@ class JsonHttpServer:
             # stream machinery log a spurious traceback).
             pass
         finally:
+            deadline.cancel()
             stats.open -= 1
             self._open_writers.discard(writer)
             writer.close()
@@ -509,7 +584,9 @@ class JsonHttpServer:
             ):
                 await writer.wait_closed()
 
-    async def _serve_one(self, reader, writer, served: int) -> bool:
+    async def _serve_one(
+        self, reader, writer, deadline: _ReadDeadline, served: int
+    ) -> bool:
         """One request/response exchange; True iff the connection lives on.
 
         ``served`` is the number of requests already answered on this
@@ -519,8 +596,8 @@ class JsonHttpServer:
         endpoint: str | None = None
         keep_alive = False
         try:
-            request = await self._read_request(reader)
-            if request is None:  # clean EOF or idle keep-alive timeout
+            request = await self._read_request(reader, deadline)
+            if request is None:  # EOF or timeout before a request line
                 return False
             if served > 0:  # this request rode a reused connection
                 self.connections.keepalive_requests += 1
@@ -551,41 +628,41 @@ class JsonHttpServer:
         )
         return keep_alive and wrote
 
-    async def _read_request(self, reader):
+    async def _read_request(self, reader, deadline: _ReadDeadline):
         """Minimal HTTP/1.1: request line, headers, ``Content-Length`` body.
 
         Returns ``(method, path, body, keep_alive)``, or ``None`` for a
-        closed or idle-timed-out connection. A timeout *after* the first
-        byte of a request raises :class:`asyncio.TimeoutError` (a 400).
+        connection that closed or timed out before a complete request
+        line. The request line, and then the rest of the request, each get
+        ``request_timeout`` seconds; a timeout after the request line
+        raises :class:`asyncio.TimeoutError` (a 400). A line longer than
+        :data:`MAX_LINE_BYTES` is a :class:`BadRequest`.
         """
-        timeout = self.request_timeout
+        deadline.arm()
         try:
-            line = reader.readline()
-            if timeout is not None:
-                line = asyncio.wait_for(line, timeout)
-            request_line = await line
-        except (asyncio.TimeoutError, ConnectionError, asyncio.LimitOverrunError):
+            request_line = await reader.readline()
+        except (asyncio.TimeoutError, ConnectionError):
             return None
+        except ValueError:  # readline's form of asyncio.LimitOverrunError
+            raise BadRequest(_LINE_TOO_LONG) from None
         if not request_line:
             return None
-        rest = self._read_rest(reader, request_line)
-        if timeout is not None:
-            rest = asyncio.wait_for(rest, timeout)
-        return await rest
-
-    async def _read_rest(self, reader, request_line: bytes):
+        deadline.arm()
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
             raise BadRequest("malformed request line")
         method, path = parts[0].upper(), parts[1].split("?", 1)[0]
         version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+        except ValueError:
+            raise BadRequest(_LINE_TOO_LONG) from None
         try:
             length = int(headers.get("content-length", "0"))
         except ValueError:
@@ -597,6 +674,7 @@ class JsonHttpServer:
                 f"body too large (limit {MAX_BODY_BYTES} bytes)"
             )
         body = await reader.readexactly(length) if length else b""
+        deadline.disarm()
         connection = headers.get("connection", "").lower()
         if version == "HTTP/1.1":
             keep_alive = connection != "close"
@@ -621,7 +699,9 @@ class JsonHttpServer:
         try:
             writer.write(head + body)
             await writer.drain()
-        except (ConnectionError, OSError):
+        except (ConnectionError, OSError, asyncio.TimeoutError):
+            # drain() re-raises an expired read deadline (an OSError only
+            # from Python 3.11); the bytes are written, the connection ends.
             return False
         return True
 

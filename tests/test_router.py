@@ -42,7 +42,12 @@ from repro.service import (
     ServiceError,
     ShardRouter,
 )
-from repro.service.httpbase import MAX_BODY_BYTES, PREFIX_ROUTES, ROUTES
+from repro.service.httpbase import (
+    MAX_BODY_BYTES,
+    MAX_LINE_BYTES,
+    PREFIX_ROUTES,
+    ROUTES,
+)
 from repro.service.router import (
     BackgroundRouter,
     resolve_shard_mode,
@@ -816,18 +821,24 @@ class TestOneRouteTable:
 
 class TestOversizedBody:
     @staticmethod
-    def _declared(host, length: str) -> bytes:
-        """Send only a request head declaring ``length``; read until the
-        server closes the connection (a hang here is a failure)."""
+    def _reply(host, head: bytes) -> bytes:
+        """Send only ``head``; read until the server closes the connection
+        (a hang here is a failure)."""
         with socket.create_connection((host.host, host.port), timeout=30) as sock:
-            sock.sendall(
-                f"POST /disclosure HTTP/1.1\r\nHost: t\r\n"
-                f"Content-Length: {length}\r\n\r\n".encode()
-            )
+            sock.sendall(head)
             data = b""
             while chunk := sock.recv(65536):
                 data += chunk
         return data
+
+    @classmethod
+    def _declared(cls, host, length: str) -> bytes:
+        """The reply to a request head declaring ``length``."""
+        return cls._reply(
+            host,
+            f"POST /disclosure HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode(),
+        )
 
     def test_over_limit_is_413_and_closes(self, router, single_service):
         for host in (single_service, router):
@@ -842,6 +853,22 @@ class TestOversizedBody:
             reply = self._declared(host, length)
             assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
             assert b"invalid Content-Length" in reply
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * MAX_LINE_BYTES
+            + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header"],
+    )
+    def test_over_long_line_is_400_and_closes(self, router, single_service, head):
+        for host in (single_service, router):
+            reply = self._reply(host, head)
+            assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+            assert b"Connection: close" in reply
+            assert reply.endswith(b'{"error": "request line or header too long"}')
 
 
 # ---------------------------------------------------------------------------
