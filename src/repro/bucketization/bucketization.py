@@ -261,7 +261,17 @@ class Bucketization:
             merged[_checked_signature(signature)] += count
         if not merged:
             raise EmptyTableError("a bucketization needs at least one bucket")
-        signature_items = tuple(sorted(merged.items()))
+        return cls._from_signature_items(tuple(sorted(merged.items())))
+
+    @classmethod
+    def _from_signature_items(
+        cls, signature_items: SignatureItems
+    ) -> "Bucketization":
+        """The placeholder bucketization of :meth:`from_signature_counts`,
+        from a signature multiset already in the canonical form
+        :meth:`signature_items` returns (sorted, merged, every signature a
+        valid bucket's). Nothing is re-checked, so pass only a multiset the
+        program computed itself."""
 
         def build() -> list[Bucket]:
             buckets: list[Bucket] = []

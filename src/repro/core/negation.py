@@ -44,27 +44,30 @@ def _best_for_signature(
 
     For each candidate target index ``t`` the optimal elimination set is the
     ``k`` largest remaining counts; with the signature sorted descending those
-    are indices ``0..k`` skipping ``t`` (or ``0..k-1`` when ``t > k``).
+    are indices ``0..k`` skipping ``t`` (or ``0..k-1`` when ``t > k``). The
+    mass they remove is ``top(k + 1) - signature[t]`` or ``top(k)``, where
+    ``top(m)`` sums the ``m`` largest counts: exact integers, so each
+    quotient is the one summing the eliminated counts would give. Every
+    ``t > k + 1`` shares ``t = k + 1``'s denominator with no larger count,
+    so it cannot beat it and is skipped. The first ``t`` reaching the
+    maximum wins. O(d) for ``n``, then O(min(k, d)).
     """
     n = sum(signature)
     d = len(signature)
+    top_k = sum(signature[:k])
+    top_k1 = sum(signature[: k + 1])
     best = None
     best_t = 0
-    best_eliminated: tuple[int, ...] = ()
-    for t in range(d):
-        if t <= k:
-            eliminated = tuple(j for j in range(min(k + 1, d)) if j != t)
-        else:
-            eliminated = tuple(range(min(k, d)))
-        removed = sum(signature[j] for j in eliminated)
-        value = (
-            Fraction(signature[t], n - removed)
-            if exact
-            else signature[t] / (n - removed)
-        )
+    for t, count in enumerate(signature[: k + 2]):
+        removed = top_k1 - count if t <= k else top_k
+        value = Fraction(count, n - removed) if exact else count / (n - removed)
         if best is None or value > best:
-            best, best_t, best_eliminated = value, t, eliminated
-    return best, best_t, best_eliminated
+            best, best_t = value, t
+    if best_t <= k:
+        eliminated = tuple(j for j in range(min(k + 1, d)) if j != best_t)
+    else:
+        eliminated = tuple(range(k))
+    return best, best_t, eliminated
 
 
 def bucket_negation_disclosure(
@@ -98,7 +101,8 @@ def max_disclosure_negations(
 def max_disclosure_negations_series(
     bucketization: Bucketization, ks: Iterable[int], *, exact: bool = False
 ) -> dict[int, object]:
-    """Worst case for several ``k`` values (each bucket is O(|S|) per k)."""
+    """Worst case for several ``k`` values: per ``k``, each distinct
+    signature costs one O(d) sum plus at most ``k + 2`` candidate targets."""
     return {
         k: max_disclosure_negations(bucketization, k, exact=exact)
         for k in sorted(set(ks))

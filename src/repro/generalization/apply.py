@@ -48,6 +48,14 @@ nothing enforces). In a bottom-up sweep every child of a checked node was
 checked before it, so only the sweep's bottom node reads the ground
 classes. The memo keeps the groupings of the last two heights checked
 (O(classes) each) and the label maps, for as long as the predicate lives.
+
+Across sweeps, an engine's predicate calls :func:`bucketize_at` only for a
+node whose signature multiset the engine has not recorded for this table
+and lattice (:meth:`DisclosureEngine.node_predicate
+<repro.engine.engine.DisclosureEngine.node_predicate>`, signature-decomposable
+models only). A node answered from that record makes no grouping, so a
+node checked later in the same sweep whose children were all answered
+there rolls up from the ground classes.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from repro.bucketization.bucketization import Bucketization
 from repro.errors import SearchError
 from repro.generalization.lattice import GeneralizationLattice, Node
 
@@ -44,6 +45,7 @@ def node_safety_predicate(
     node_memo: dict | None = None,
     signature_memo: dict | None = None,
     bucketizations: dict | None = None,
+    node_signatures: dict | None = None,
 ) -> Callable[[Node], bool]:
     """Lift a bucketization-level safety check to lattice nodes.
 
@@ -85,6 +87,22 @@ def node_safety_predicate(
         :meth:`~repro.engine.engine.DisclosureEngine.node_predicate` turns
         this on exactly then) and for size-only predicates like
         k-anonymity; the caller vouches for anything custom.
+    node_signatures:
+        Optional ``node -> signature items`` dict for this ``table`` and
+        ``lattice``, read before bucketizing: a node found there is not
+        bucketized, and the checker gets a placeholder bucketization of
+        the stored multiset
+        (:meth:`~repro.bucketization.bucketization.Bucketization.from_signature_counts`
+        without its validation). Every node the predicate does bucketize is
+        recorded there, keyed after :meth:`GeneralizationLattice.validate
+        <repro.generalization.lattice.GeneralizationLattice.validate>`, so
+        one dict shared by several predicates on the same table and lattice
+        bucketizes each node once. A node answered from it keeps no
+        grouping, so its parents roll up from another child or the ground
+        classes. As for ``signature_memo``, the checker must depend on the
+        bucketization only through its signatures;
+        :meth:`~repro.engine.engine.DisclosureEngine.node_predicate` passes
+        its engine's dict exactly then.
 
     Examples
     --------
@@ -101,11 +119,20 @@ def node_safety_predicate(
             cached = node_memo.get(node)
             if cached is not None:
                 return cached
-        bucketization = (
-            bucketizations.pop(node, None) if bucketizations is not None else None
-        )
-        if bucketization is None:
-            bucketization = bucketize_at(table, lattice, node, memo=memo)
+        items = None
+        if node_signatures is not None:
+            node = lattice.validate(node)
+            items = node_signatures.get(node)
+        if items is not None:
+            bucketization = Bucketization._from_signature_items(items)
+        else:
+            bucketization = (
+                bucketizations.pop(node, None) if bucketizations is not None else None
+            )
+            if bucketization is None:
+                bucketization = bucketize_at(table, lattice, node, memo=memo)
+            if node_signatures is not None:
+                node_signatures[node] = bucketization.signature_items()
         if signature_memo is not None:
             signature_key = bucketization.signature_items()
             result = signature_memo.get(signature_key)

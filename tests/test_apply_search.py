@@ -11,7 +11,7 @@ from repro.bucketization import Bucketization
 from repro.core.safety import SafetyChecker
 from repro.data import ADULT_SCHEMA, Schema, Table, adult_hierarchies
 from repro.engine import DisclosureEngine, get_adversary
-from repro.errors import EmptyTableError, SearchError
+from repro.errors import EmptyTableError, LatticeError, SearchError
 from repro.generalization import apply
 from repro.generalization.apply import _roll_up, bucketize_at, generalize_table
 from repro.generalization.hierarchy import SUPPRESSED, Hierarchy
@@ -353,6 +353,176 @@ class TestSweepBuildsBucketsOnlyOnDemand:
             assert engine.evaluate(
                 bucketize_at(table, adult_lattice, node), 1, model=model
             ) == reference_engine.evaluate(reference, 1, model=model), node
+
+
+#: The ``sanitize`` benchmark's policies, ``(c, k, model)``. The first two
+#: differ only in ``c``: on ``small_adult``, c = 0.8 adds (4, 2, 1, 0) to
+#: c = 0.7's minimal nodes, so a verdict carried between their sweeps fails
+#: in either order.
+POLICIES = ((0.7, 3, "implication"), (0.8, 3, "implication"), (0.7, 2, "negation"))
+
+
+def scan_minimal(table, lattice, policies, *, exact=False):
+    """``policy -> minimal safe nodes`` from an unpruned scan: every node
+    bucketized on its own, with no memo, and evaluated on a fresh engine."""
+    engine = DisclosureEngine(exact=exact)
+    buckets = {node: bucketize_at(table, lattice, node) for node in lattice.nodes()}
+    minimal = {}
+    for c, k, model in policies:
+        threshold = engine.threshold(c, model=model)
+        safe = [
+            node
+            for node, b in buckets.items()
+            if engine.evaluate(b, k, model=model) < threshold
+        ]
+        minimal[c, k, model] = lattice.minimal_elements(safe)
+    return minimal
+
+
+@pytest.fixture
+def bucketize_calls(monkeypatch):
+    """A one-item list counting calls through the module attribute
+    ``apply.bucketize_at``, which a predicate looks up when it is built."""
+    calls = [0]
+    original = apply.bucketize_at
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(apply, "bucketize_at", counted)
+    return calls
+
+
+class TestSweepsShareNodeSignatures:
+    """Sweeps on one engine bucketize each node of a (table, lattice) pair
+    once, and every sweep still answers as an unpruned scan."""
+
+    @staticmethod
+    def sweep(engine, table, lattice, policy, stats=None):
+        c, k, model = policy
+        return sorted(
+            engine.find_minimal_safe_nodes(
+                table, lattice, c, k, model=model, stats=stats
+            )
+        )
+
+    def test_several_sweeps_give_the_unpruned_answer(
+        self, small_adult, adult_lattice
+    ):
+        other_table = small_adult.sample(400, seed=3)
+        other_lattice = GeneralizationLattice(
+            adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+        )
+        expected = scan_minimal(small_adult, adult_lattice, POLICIES)
+        assert (4, 2, 1, 0) in set(expected[POLICIES[1]]) - set(
+            expected[POLICIES[0]]
+        )
+        other_expected = scan_minimal(other_table, adult_lattice, POLICIES)
+        engine = DisclosureEngine()
+        runs = [
+            (small_adult, adult_lattice, POLICIES, expected),
+            (small_adult, adult_lattice, POLICIES[::-1], expected),
+            (other_table, adult_lattice, POLICIES, other_expected),
+            (small_adult, adult_lattice, POLICIES, expected),
+            (small_adult, other_lattice, POLICIES, expected),
+        ]
+        for table, lattice, policies, answers in runs:
+            for policy in policies:
+                found = self.sweep(engine, table, lattice, policy)
+                assert found == answers[policy], (len(table), policy)
+
+    def test_exact_engine(self, small_adult, adult_lattice):
+        table = small_adult.sample(400, seed=3)
+        expected = scan_minimal(table, adult_lattice, POLICIES, exact=True)
+        assert expected[POLICIES[0]] != expected[POLICIES[1]]
+        engine = DisclosureEngine(exact=True)
+        for policy in POLICIES:
+            found = self.sweep(engine, table, adult_lattice, policy)
+            assert found == expected[policy], policy
+
+    def test_later_sweeps_bucketize_nothing(
+        self, small_adult, adult_lattice, bucketize_calls
+    ):
+        engine = DisclosureEngine()
+        for i, policy in enumerate(POLICIES):
+            bucketize_calls[0] = 0
+            stats = SearchStats()
+            self.sweep(engine, small_adult, adult_lattice, policy, stats)
+            expected = stats.predicate_checks if i == 0 else 0
+            assert bucketize_calls[0] == expected, policy
+        # Another table or lattice object replaces the memo: its first sweep
+        # bucketizes every node it checks.
+        other_lattice = GeneralizationLattice(
+            adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+        )
+        for table, lattice in [
+            (small_adult.sample(400, seed=3), adult_lattice),
+            (small_adult, adult_lattice),
+            (small_adult, other_lattice),
+        ]:
+            bucketize_calls[0] = 0
+            stats = SearchStats()
+            self.sweep(engine, table, lattice, POLICIES[0], stats)
+            assert bucketize_calls[0] == stats.predicate_checks > 0
+
+    @pytest.mark.parametrize("model", ["implication", "negation", "distribution"])
+    def test_memo_hits_build_no_bucket(
+        self, small_adult, adult_lattice, bucket_builds, bucketize_calls, model
+    ):
+        policies = [(0.7, 2, model), (0.8, 2, model)]
+        expected = [
+            self.sweep(DisclosureEngine(), small_adult, adult_lattice, policy)
+            for policy in policies
+        ]
+        bucket_builds[0] = 0
+        bucketize_calls[0] = 0
+        engine = DisclosureEngine()
+        stats = SearchStats()
+        found = self.sweep(engine, small_adult, adult_lattice, policies[0], stats)
+        assert found == expected[0]
+        assert bucketize_calls[0] == stats.predicate_checks
+        bucketize_calls[0] = 0
+        found = self.sweep(engine, small_adult, adult_lattice, policies[1])
+        assert found == expected[1]
+        assert bucketize_calls[0] == 0
+        assert bucket_builds[0] == 0
+
+    def test_models_that_read_buckets_keep_bucketizing(
+        self, small_adult, adult_lattice, bucketize_calls
+    ):
+        table = small_adult.sample(300, seed=11)
+        model = get_adversary("sampling", samples=10, seed=4)
+        engine = DisclosureEngine()
+        self.sweep(engine, table, adult_lattice, (0.7, 1, "implication"))
+        bucketize_calls[0] = 0
+        stats = SearchStats()
+        self.sweep(engine, table, adult_lattice, (0.7, 1, model), stats)
+        assert bucketize_calls[0] == stats.predicate_checks > 0
+
+    def test_binary_search_chain_with_list_nodes(
+        self, small_adult, adult_lattice, bucketize_calls
+    ):
+        chain = adult_lattice.default_chain()
+        lists = [list(node) for node in chain]
+        engine = DisclosureEngine()
+        expected = engine.binary_search_chain(
+            small_adult, adult_lattice, chain, 0.75, 2
+        )
+        assert 0 < chain.index(expected) < len(chain) - 1
+        bucketize_calls[0] = 0
+        found = engine.binary_search_chain(
+            small_adult, adult_lattice, lists, 0.75, 2
+        )
+        assert tuple(found) == expected and bucketize_calls[0] == 0
+        fresh = DisclosureEngine().binary_search_chain(
+            small_adult, adult_lattice, lists, 0.75, 2
+        )
+        assert tuple(fresh) == expected and bucketize_calls[0] > 0
+        predicate = engine.node_predicate(small_adult, adult_lattice, 0.75, 2)
+        for malformed in [(9, 0, 0, 0), [0, 0]]:
+            with pytest.raises(LatticeError):
+                predicate(malformed)
 
 
 class TestMinimalSafeSearch:

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bucketization import Bucket, Bucketization
 from repro.core.exact import exact_max_disclosure_negations
 from repro.core.negation import (
     NegationWitness,
+    _best_for_signature,
     bucket_negation_disclosure,
     max_disclosure_negations,
     max_disclosure_negations_series,
@@ -144,3 +148,66 @@ class TestSignatureMaximum:
                     assert value == expected and series[k] == expected, (node, k)
                     if not exact:
                         assert value.hex() == expected.hex(), (node, k)
+
+
+def loop_best_for_signature(signature, k, *, exact):
+    """The reference: for every target index, build the index tuple of the
+    counts its best attack eliminates and sum it (O(d^2) per signature)."""
+    n = sum(signature)
+    d = len(signature)
+    best = None
+    best_t = 0
+    best_eliminated = ()
+    for t in range(d):
+        if t <= k:
+            eliminated = tuple(j for j in range(min(k + 1, d)) if j != t)
+        else:
+            eliminated = tuple(range(min(k, d)))
+        removed = sum(signature[j] for j in eliminated)
+        value = (
+            Fraction(signature[t], n - removed)
+            if exact
+            else signature[t] / (n - removed)
+        )
+        if best is None or value > best:
+            best, best_t, best_eliminated = value, t, eliminated
+    return best, best_t, best_eliminated
+
+
+@st.composite
+def signatures_and_k(draw):
+    """A signature of 1-16 counts (small caps give many ties) and a k in
+    0..d+2."""
+    d = draw(st.integers(min_value=1, max_value=16))
+    cap = draw(st.sampled_from([1, 2, 3, 10, 100]))
+    counts = draw(
+        st.lists(st.integers(min_value=1, max_value=cap), min_size=d, max_size=d)
+    )
+    k = draw(st.integers(min_value=0, max_value=d + 2))
+    return tuple(sorted(counts, reverse=True)), k
+
+
+class TestOnePassMatchesLoop:
+    """The one-pass best attack gives the reference loop's value bit for bit,
+    its target and its eliminated indices, in both arithmetics."""
+
+    @given(signatures_and_k())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, case):
+        signature, k = case
+        for exact in (False, True):
+            value, t, eliminated = _best_for_signature(signature, k, exact=exact)
+            expected, expected_t, expected_eliminated = loop_best_for_signature(
+                signature, k, exact=exact
+            )
+            assert type(value) is type(expected)
+            if exact:
+                assert value == expected
+            else:
+                assert struct.pack("<d", value) == struct.pack("<d", expected)
+            assert (t, eliminated) == (expected_t, expected_eliminated)
+        bucket = Bucket.from_signature(signature)
+        witness = negation_witness(Bucketization([bucket]), k, exact=True)
+        order = bucket.values_by_frequency
+        assert witness.target_value == order[expected_t]
+        assert witness.negated_values == tuple(order[j] for j in expected_eliminated)
