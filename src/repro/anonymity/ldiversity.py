@@ -35,8 +35,10 @@ __all__ = [
 
 def distinct_diversity(bucketization: Bucketization) -> int:
     """The largest ℓ such that the bucketization is distinct ℓ-diverse
-    (the minimum number of distinct values in any bucket)."""
-    return min(bucket.distinct_count for bucket in bucketization.buckets)
+    (the minimum number of distinct values in any bucket), read off the
+    signature multiset without building a deferred bucketization's
+    buckets."""
+    return min(len(sig) for sig, _ in bucketization.signature_items())
 
 
 def entropy_diversity(bucketization: Bucketization) -> float:

@@ -91,18 +91,28 @@ def max_disclosure_negations(
 
     Read off the distinct bucket signatures (equal signatures give equal
     values), so a deferred bucketization's buckets are never built.
+
+    When some bucket has at most ``k + 1`` distinct values the answer is
+    exactly 1 (``1.0``, or ``Fraction(1)`` in exact mode) and no signature
+    is scanned: target one of its values and negate the others (at most
+    ``k``), and the quotient is ``count / count``; no quotient exceeds 1.
+    That is the closed form's own value, bit for bit.
     """
+    items = bucketization.signature_items()
+    if min(len(signature) for signature, _ in items) <= k + 1:
+        return Fraction(1) if exact else 1.0
     return max(
         bucket_negation_disclosure(signature, k, exact=exact)
-        for signature, _ in bucketization.signature_items()
+        for signature, _ in items
     )
 
 
 def max_disclosure_negations_series(
     bucketization: Bucketization, ks: Iterable[int], *, exact: bool = False
 ) -> dict[int, object]:
-    """Worst case for several ``k`` values: per ``k``, each distinct
-    signature costs one O(d) sum plus at most ``k + 2`` candidate targets."""
+    """Worst case for several ``k`` values: per ``k``, 1 when some bucket
+    has at most ``k + 1`` distinct values, else each distinct signature
+    costs one O(d) sum plus at most ``k + 2`` candidate targets."""
     return {
         k: max_disclosure_negations(bucketization, k, exact=exact)
         for k in sorted(set(ks))

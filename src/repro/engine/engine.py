@@ -753,9 +753,11 @@ class DisclosureEngine:
     ) -> int:
         """Least attacker power whose worst case reaches ``c``.
 
-        The search is bounded by ``max_b (d_b - 1)`` (enough negations to
-        force certainty), which is guaranteed to suffice for the implication
-        and negation adversaries.
+        The search is bounded by ``max_b (d_b - 1)`` (any bucket with ``d``
+        distinct values is certain after ``d - 1`` negations), which is
+        guaranteed to suffice for the implication and negation adversaries.
+        The distinct counts come from the signature multiset, so a deferred
+        bucketization's buckets are not built for them.
 
         Raises
         ------
@@ -765,7 +767,7 @@ class DisclosureEngine:
         """
         m = self.model(model)
         threshold = self.threshold(c, model=m)
-        bound = max(b.distinct_count for b in bucketization.buckets) - 1
+        bound = max(len(sig) for sig, _ in bucketization.signature_items()) - 1
         series = self.series(bucketization, range(bound + 1), model=m)
         for k in range(bound + 1):
             if series[k] >= threshold:

@@ -18,7 +18,6 @@ import random
 import time
 from dataclasses import dataclass
 
-from repro.core.disclosure import max_disclosure_series
 from repro.core.minimize1 import Minimize1Solver
 from repro.core.minimize2 import min_ratio_table
 from repro.data.table import Table
@@ -131,14 +130,20 @@ def memo_reuse_ratio(
 ) -> dict:
     """Sweep the whole lattice with one shared solver and report how much
     MINIMIZE1 state it accumulated versus what per-node cold solvers would
-    have computed in total."""
+    have computed in total.
+
+    Every node runs the DP up to ``max(ks)``, through
+    :func:`~repro.core.minimize2.min_ratio_table`, even where
+    :func:`~repro.core.disclosure.max_disclosure_series` would answer a
+    certain disclosure without it: the question is the DP's own sharing."""
     shared = Minimize1Solver()
     cold_total_states = 0
+    max_k = max(ks)
     for node in lattice.nodes():
-        bucketization = bucketize_at(table, lattice, node)
-        max_disclosure_series(bucketization, ks, solver=shared)
+        counts = dict(bucketize_at(table, lattice, node).signature_items())
+        min_ratio_table(counts, max_k, solver=shared)
         cold = Minimize1Solver()
-        max_disclosure_series(bucketization, ks, solver=cold)
+        min_ratio_table(counts, max_k, solver=cold)
         cold_total_states += cold.memo_size()
     return {
         "nodes": lattice.size,

@@ -56,6 +56,14 @@ class TestLDiversity:
         assert is_distinct_l_diverse(buckets, 3)
         assert not is_distinct_l_diverse(buckets, 4)
 
+    def test_distinct_reads_the_multiset(self, buckets, bucket_builds):
+        deferred = Bucketization.from_signature_counts(buckets.signature_items())
+        bucket_builds[0] = 0
+        assert distinct_diversity(deferred) == distinct_diversity(buckets) == 3
+        assert is_distinct_l_diverse(deferred, 3)
+        assert not is_distinct_l_diverse(deferred, 4)
+        assert bucket_builds[0] == 0
+
     def test_entropy(self, buckets):
         # Worst bucket: {a:2, b:1, c:1}; H = ln4 - (1/2)ln2... compute:
         h = -(0.5 * math.log(0.5) + 2 * 0.25 * math.log(0.25))

@@ -408,6 +408,24 @@ class TestEngineQueries:
                 figure3, level
             )
 
+    def test_min_k_to_breach_reads_the_multiset(self, bucket_builds):
+        # The bound max_b (d_b - 1) comes from the signature multiset, so a
+        # deferred bucketization is never built for it; answers unchanged.
+        eager = Bucketization.from_value_lists(
+            [list("abcd"), list("aabbccdde"), list("aaaabbc")]
+        )
+        deferred = Bucketization.from_signature_counts(eager.signature_items())
+        for model in ("implication", "negation"):
+            for level in (0.3, 0.5, 0.8, 1.0):
+                expected = DisclosureEngine().min_k_to_breach(
+                    eager, level, model=model
+                )
+                bucket_builds[0] = 0
+                assert DisclosureEngine().min_k_to_breach(
+                    deferred, level, model=model
+                ) == expected
+                assert bucket_builds[0] == 0
+
     def test_min_k_to_breach_unreachable_raises(self):
         # The probabilistic attacker's power is flat in k; a level above its
         # best cannot be breached and must say so instead of looping.

@@ -6,7 +6,9 @@ These are the library's strongest guarantees, checked on randomized inputs:
 2. Lemma 12's closed form == world enumeration.
 3. The O(k^3) DP == partition enumeration (MINIMIZE1).
 4. Theorem 14 monotonicity: merging buckets never increases disclosure.
-5. Negation closed form == brute force over arbitrary negation sets.
+5. Negation closed form == brute force over arbitrary negation sets, and
+   both worst cases are certain exactly when some bucket has at most
+   ``k + 1`` distinct values.
 6. Signature deduplication never changes MINIMIZE2's answer.
 7. Disclosure is monotone in k and bounded in (0, 1].
 8. Theorem 3 encoding is exact on every world.
@@ -32,7 +34,10 @@ from repro.core.minimize1 import (
     minimize1_reference,
 )
 from repro.core.minimize2 import min_ratio_table
-from repro.core.negation import max_disclosure_negations
+from repro.core.negation import (
+    bucket_negation_disclosure,
+    max_disclosure_negations,
+)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -75,7 +80,12 @@ small_k = st.integers(min_value=0, max_value=2)
 @settings(max_examples=20, deadline=None)
 @given(b=tiny_bucketizations, k=small_k)
 def test_dp_equals_exact_oracle(b, k):
-    assert max_disclosure(b, k, exact=True) == exact_max_disclosure_simple(b, k)
+    oracle = exact_max_disclosure_simple(b, k)
+    assert max_disclosure(b, k, exact=True) == oracle
+    # The DP itself, which max_disclosure skips when the worst case is
+    # certain (nearly always on this 3-value alphabet).
+    ratio = min_ratio_table(dict(b.signature_items()), k, exact=True)[k]
+    assert Fraction(1) / (1 + ratio) == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,9 +151,33 @@ def test_merging_never_increases_disclosure(b, k, data):
 @settings(max_examples=25, deadline=None)
 @given(b=tiny_bucketizations, k=small_k)
 def test_negation_closed_form_equals_brute_force(b, k):
-    assert max_disclosure_negations(b, k, exact=True) == (
-        exact_max_disclosure_negations(b, k)
+    oracle = exact_max_disclosure_negations(b, k)
+    assert max_disclosure_negations(b, k, exact=True) == oracle
+    # The per-signature closed form, which max_disclosure_negations skips
+    # when the worst case is certain.
+    assert max(
+        bucket_negation_disclosure(s, k, exact=True)
+        for s, _ in b.signature_items()
+    ) == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=medium_bucketizations, k=st.integers(min_value=0, max_value=5))
+def test_certain_iff_at_most_k_plus_one_distinct(b, k):
+    # The theorem the certain-disclosure rule rests on, for both models:
+    # the worst case is exactly 1 when, and only when, some bucket has at
+    # most k + 1 distinct values. Checked on the DP and the per-signature
+    # closed form as well as on the public entry points.
+    items = b.signature_items()
+    certain = min(len(s) for s, _ in items) <= k + 1
+    ratio = min_ratio_table(dict(items), k, exact=True)[k]
+    closed_form = max(
+        bucket_negation_disclosure(s, k, exact=True) for s, _ in items
     )
+    assert (ratio == 0) == certain
+    assert (closed_form == 1) == certain
+    assert (max_disclosure(b, k, exact=True) == 1) == certain
+    assert (max_disclosure_negations(b, k, exact=True) == 1) == certain
 
 
 # ---------------------------------------------------------------------------
