@@ -17,7 +17,10 @@ string expectations:
 
 3. **CLI flags** — every backticked ``--flag`` in the docs must be an
    option of ``repro`` or of one of its subcommands (collected by walking
-   ``build_parser()``), so a removed flag cannot linger in a guide.
+   ``build_parser()``), so a removed flag cannot linger in a guide. A code
+   span that names a subcommand before its first flag (``search --k 3``,
+   ``repro serve --shards N``) may use only that subcommand's options and
+   the top-level ones.
 
 Run from anywhere: ``python scripts/check_docs.py`` (CI runs it in the
 ``lint-invariants`` job). ``--docs-dir`` points at an alternative docs
@@ -129,32 +132,54 @@ def check_cli_commands(docs_dir: Path) -> list[str]:
     return errors
 
 
-def cli_flags() -> set[str]:
-    """Every option string of ``repro`` and of each of its subcommands."""
-    flags: set[str] = set()
-    parsers = [build_parser()]
-    while parsers:
-        parser = parsers.pop()
-        for action in parser._actions:
-            flags.update(action.option_strings)
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-    return flags
+def cli_flags() -> tuple[set[str], dict[str, set[str]]]:
+    """The option strings of ``repro`` itself, and of each subcommand."""
+    parser = build_parser()
+    top: set[str] = set()
+    commands: dict[str, set[str]] = {}
+    for action in parser._actions:
+        top.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                commands[name] = {
+                    flag
+                    for sub_action in subparser._actions
+                    for flag in sub_action.option_strings
+                }
+    return top, commands
+
+
+def span_command(span: str) -> str | None:
+    """The subcommand a code span names before its first flag, if any."""
+    for word in span.split():
+        if word.startswith("-"):
+            return None
+        if word in _COMMANDS:
+            return word
+    return None
 
 
 def check_cli_flags(docs_dir: Path) -> list[str]:
-    """Every backticked ``--flag`` in docs/ must be a ``repro`` option."""
-    known = cli_flags()
+    """Every backticked ``--flag`` in docs/ must be a ``repro`` option, and
+    an option of the subcommand its span names, if it names one."""
+    top, commands = cli_flags()
+    known = top.union(*commands.values())
     errors = []
     for path in sorted(docs_dir.glob("*.md")):
         lines = path.read_text(encoding="utf-8").splitlines()
         for lineno, line in enumerate(lines, 1):
             for span in CODE_SPAN.findall(line):
+                command = span_command(span)
+                if command is None:
+                    allowed, owner = known, "any repro subcommand"
+                else:
+                    allowed = top | commands[command]
+                    owner = f"`repro {command}`"
                 for flag in LONG_FLAG.findall(span):
-                    if flag not in known:
+                    if flag not in allowed:
                         errors.append(
                             f"{path}:{lineno}: `{flag}` is not an option of "
-                            "any repro subcommand"
+                            f"{owner}"
                         )
     return errors
 

@@ -44,13 +44,14 @@ converted with :func:`repro.data.loader.load_adult_file`). The disclosure
 analysis commands (``disclosure``, ``search``, ``breach``, ``witness``)
 accept ``--adversary`` with any model name from the engine registry
 (:func:`repro.engine.base.available_adversaries`). ``disclosure``,
-``search``, ``fig5`` and ``fig6`` additionally take the engine knobs
-``--workers`` (worker-process count for batch evaluation; above 1, batches
-run on persistent worker processes), ``--kernel`` (``auto`` / ``numpy`` /
-``scalar`` MINIMIZE1/MINIMIZE2 kernel for the float path) and
-``--cache-limit`` (LRU bound on the shared cache); ``disclosure
---cache-stats`` prints the cache's hit/parallel-hit/miss/eviction counters
-and the active kernel.
+``search``, ``fig5``, ``fig6`` and ``serve`` take the engine knobs
+``--kernel`` (``auto`` / ``numpy`` / ``scalar`` MINIMIZE1/MINIMIZE2 kernel
+for the float path) and ``--cache-limit`` (LRU bound on the shared cache);
+``disclosure --cache-stats`` prints the cache's
+hit/parallel-hit/miss/eviction counters and the active kernel. Only
+``serve`` runs worker processes: its ``--workers`` (default 2) gives each
+engine that many persistent workers for cache-missing batches, and 1 keeps
+every batch in-process. Every other command runs in-process.
 """
 
 from __future__ import annotations
@@ -130,16 +131,6 @@ def _positive_int(text: str) -> int:
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "worker processes for batch disclosure evaluation; parallelizes "
-            "multi-node sweeps (search, fig6) on persistent workers, no "
-            "effect on single-node commands (1 = in-process)"
-        ),
-    )
-    parser.add_argument(
         "--cache-limit",
         type=_positive_int,
         default=None,
@@ -160,16 +151,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_engine(args: argparse.Namespace) -> DisclosureEngine:
-    """One engine per command, configured from the shared engine flags.
-
-    Commands use the engine as a context manager so any worker processes
-    are shut down before exit.
-    """
+    """One in-process engine per command, configured from the shared
+    engine flags."""
     policy = CachePolicy(max_entries=getattr(args, "cache_limit", None))
     return DisclosureEngine(
-        policy=policy,
-        workers=getattr(args, "workers", 1),
-        kernel=getattr(args, "kernel", "auto"),
+        policy=policy, kernel=getattr(args, "kernel", "auto")
     )
 
 
@@ -436,10 +422,16 @@ def build_parser() -> argparse.ArgumentParser:
             "(PREFIX.<tenant>[.shard<i>].<mode>.pkl); validated at boot"
         ),
     )
+    p_serve.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=2,
+        help=(
+            "persistent worker processes per engine for cache-missing "
+            "batches; 1 keeps every batch in-process (default 2)"
+        ),
+    )
     _add_engine_options(p_serve)
-    # A service is the persistent workers' home workload: each engine runs
-    # two unless --workers says otherwise.
-    p_serve.set_defaults(workers=2)
 
     p_lint = sub.add_parser(
         "lint",
@@ -524,9 +516,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
     with _build_engine(args) as engine:
-        result = run_figure6(
-            _load_table(args), engine=engine, workers=args.workers
-        )
+        result = run_figure6(_load_table(args), engine=engine)
     print(render_figure6(result, per_node=args.per_node))
     if args.out:
         with open(args.out, "w") as handle:
@@ -595,17 +585,8 @@ def _run_search(args, table, lattice, engine: DisclosureEngine) -> int:
         )
     else:
         stats = SearchStats()
-        # The engine search: signature-memoized predicate, plus a parallel
-        # prewarm of every node's disclosure when --workers > 1 (the pruned
-        # sweep then runs on pure cache hits).
         minimal = engine.find_minimal_safe_nodes(
-            table,
-            lattice,
-            args.c,
-            args.k,
-            model=args.adversary,
-            stats=stats,
-            workers=args.workers,
+            table, lattice, args.c, args.k, model=args.adversary, stats=stats
         )
         print(
             f"(c={args.c}, k={args.k})-safety [{args.adversary}]: "

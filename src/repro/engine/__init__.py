@@ -19,10 +19,10 @@ language; this subsystem makes that parameter a first-class runtime object.
   worst-case adversary (``distribution``) as a one-file registry plugin.
 - :mod:`repro.engine.engine` — the :class:`DisclosureEngine`: one bounded
   LRU cache on the signature plane shared across *all* models, batch
-  evaluation over many ``k`` / bucketizations / models (with
-  ``workers > 1``, on persistent workers with cache warm-back), cache
+  evaluation over many ``k`` / bucketizations / models (on an engine built
+  with ``workers > 1``, on persistent workers with cache warm-back), cache
   persistence, uniform exact-float handling and witness reconstruction,
-  plus adversary-parametric lattice search.
+  plus adversary-parametric lattice search, which always runs in-process.
 
 Every consumer in this package — :class:`~repro.core.safety.SafetyChecker`,
 greedy suppression, Incognito/lattice search, the Figure 5/6 experiments and

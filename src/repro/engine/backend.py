@@ -1,11 +1,12 @@
 """Execution backends: where the engine's parallel batches run.
 
-:meth:`~repro.engine.engine.DisclosureEngine.evaluate_many` (and the lattice
-prewarm behind ``search --workers``) always reduces a batch to the *unique
-uncached* plane keys. When the engine's effective ``workers`` is above 1 and
-at least two such keys remain, an :class:`ExecutionBackend` computes them;
-otherwise the engine evaluates the batch in-process through its own cache
-and shared solver.
+:meth:`~repro.engine.engine.DisclosureEngine.evaluate_many` always reduces a
+batch to the *unique uncached* plane keys. On an engine built with
+``workers > 1``, when at least two such keys remain, its
+:class:`ExecutionBackend` computes them; otherwise the engine evaluates the
+batch in-process through its own cache and shared solver. The engine's
+``workers`` is the only switch: no call overrides it, and lattice sweeps
+never send a batch out.
 
 :class:`PersistentBackend` is the one implementation: long-lived worker
 processes, each holding a worker-resident mirror of the engine's

@@ -15,8 +15,9 @@ The engine owns three things no single legacy function had:
 2. **Batch APIs, optionally parallel.** :meth:`DisclosureEngine.series`
    evaluates many ``k`` at the cost the model can manage;
    :meth:`DisclosureEngine.evaluate_many` runs a series over many
-   bucketizations — serially through the cache, or, with ``workers > 1``,
-   chunked by *unique* plane key over persistent worker processes
+   bucketizations — serially through the cache, or, on an engine built
+   with ``workers > 1``, chunked by *unique* plane key over persistent
+   worker processes
    (:class:`~repro.engine.backend.PersistentBackend`, which ships each
    signature to a worker once) with deterministic merge order and
    warm-back, so parallel results populate the shared cache and are
@@ -173,24 +174,23 @@ class DisclosureEngine:
         A :class:`~repro.engine.plane.CachePolicy` bounding the shared
         cache; the default is unbounded with no sweep pinning.
     workers:
-        Default worker-process count for :meth:`evaluate_many` and the
-        engine's lattice-sweep prewarm (1 = in-process; the per-call
-        ``workers`` argument overrides it). A batch with an effective
-        ``workers > 1``, a signature-decomposable model and at least two
-        uncached plane keys runs on persistent worker processes; anything
-        else runs in-process.
+        Worker-process count for :meth:`evaluate_many`, fixed for the
+        engine's life: the one setting that sends a batch out of process.
+        On an engine with ``workers > 1`` and a backend, a batch under a
+        signature-decomposable model with at least two uncached plane keys
+        runs on the backend's worker processes; anything else runs
+        in-process. Lattice sweeps run in-process on every engine: they
+        check one node at a time, so they can prune.
     backend:
-        ``"persistent"`` (the default) runs those batches on a
-        :class:`~repro.engine.backend.PersistentBackend` the engine builds
-        itself: in the constructor when ``workers > 1``, otherwise on the
-        first batch a per-call ``workers > 1`` sends out (building one
-        imports :mod:`multiprocessing`, which an in-process engine never
-        needs). ``"serial"`` never sends a batch out, whatever
-        ``workers`` says. An :class:`~repro.engine.backend.ExecutionBackend`
-        instance is used as given. Worker processes are real — call
-        :meth:`close` (or use the engine as a context manager) when done;
-        the engine closes whichever backend it holds, including a
-        caller-provided instance.
+        ``"persistent"`` (the default) builds a
+        :class:`~repro.engine.backend.PersistentBackend` in the constructor
+        when ``workers > 1``, and none when ``workers=1``, so an in-process
+        engine never imports :mod:`multiprocessing`. ``"serial"`` builds
+        none, whatever ``workers`` says. An
+        :class:`~repro.engine.backend.ExecutionBackend` instance is used as
+        given. Worker processes are real — call :meth:`close` (or use the
+        engine as a context manager) when done; the engine closes whichever
+        backend it holds, including a caller-provided instance.
     kernel:
         MINIMIZE1/MINIMIZE2 kernel selector (``"auto"``, ``"numpy"``,
         ``"scalar"``). Resolved once at construction via
@@ -225,8 +225,8 @@ class DisclosureEngine:
         self.exact = exact
         self.policy = policy if policy is not None else CachePolicy()
         self.workers = max(1, int(workers))
-        #: The backend batches run on; ``None`` until one is needed (and
-        #: for good under ``backend="serial"``).
+        #: The backend batches run on; ``None`` for an engine that keeps
+        #: every batch in-process.
         self.backend: ExecutionBackend | None
         if isinstance(backend, ExecutionBackend):
             self.backend = backend
@@ -239,7 +239,6 @@ class DisclosureEngine:
                 f"unknown backend {backend!r}; expected 'persistent', "
                 "'serial' or an ExecutionBackend instance"
             )
-        self._fans_out = backend != "serial"
         self.plane = SignaturePlane()
         self.context = EngineContext(exact=exact, plane=self.plane, kernel=kernel)
         self.stats = EngineStats(kernel=self.context.kernel)
@@ -256,9 +255,8 @@ class DisclosureEngine:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the backend's worker processes, if the engine holds a
-        backend (it never builds one to close it). The engine stays usable
-        — a closed backend respawns its workers on the next parallel
-        batch."""
+        backend. The engine stays usable — a closed backend respawns its
+        workers on the next parallel batch."""
         if self.backend is not None:
             self.backend.close()
 
@@ -579,38 +577,37 @@ class DisclosureEngine:
         ks: Iterable[int],
         *,
         model: str | AdversaryModel = "implication",
-        workers: int | None = None,
     ) -> list[dict[int, object]]:
         """One series per bucketization, in input order, all sharing this
-        engine's cache and solver — the batched form a lattice sweep or an
+        engine's cache and solver — the batched form a figure sweep or an
         incremental republication wants.
 
-        With ``workers > 1`` (default: the engine's ``workers``) and a
+        On an engine built with ``workers > 1`` and a backend, under a
         signature-decomposable model, the *unique uncached* plane keys are
-        evaluated by the engine's worker processes — each distinct
+        evaluated by the backend's worker processes — each distinct
         signature multiset is computed exactly once — and warm-backed into
-        the shared cache before the per-bucketization assembly. Results are
-        bit-for-bit identical to the serial path (deterministic chunking and
-        merge order; same canonical signature order inside each worker).
-        In-process instead: ``workers <= 1``, ``backend="serial"``, fewer
-        than two uncached plane keys, non-decomposable models (their
-        answers depend on more than the plane ships), or a failed backend.
+        the shared cache before the per-bucketization assembly. Results
+        are bit-for-bit identical to the serial path (deterministic
+        chunking and merge order; same canonical signature order inside
+        each worker). In-process instead: an engine with ``workers=1`` or
+        ``backend="serial"``, fewer than two uncached plane keys,
+        non-decomposable models (their answers depend on more than the
+        plane ships), or a failed backend.
         """
         bs = list(bucketizations)
         ks = sorted(set(ks))
         if ks and ks[0] < 0:
             raise ValueError(f"k must be non-negative, got {ks[0]}")
         m = self.model(model)
-        workers = self.workers if workers is None else max(1, int(workers))
         warmed: dict[tuple, dict[int, object]] = {}
         if (
-            workers > 1
-            and self._fans_out
+            self.backend is not None
+            and self.workers > 1
             and len(bs) > 1
             and ks
             and m.signature_decomposable()
         ):
-            warmed = self._parallel_warm(bs, ks, m, workers)
+            warmed = self._parallel_warm(bs, ks, m)
         if not warmed:
             return [self.series(b, ks, model=m) for b in bs]
         # Assemble from the batch's own results where available (not only via
@@ -635,11 +632,8 @@ class DisclosureEngine:
         bucketizations: Sequence[Bucketization],
         ks: Sequence[int],
         m: AdversaryModel,
-        workers: int,
     ) -> dict[tuple, dict[int, object]]:
-        """Compute the unique uncached plane keys on the execution backend,
-        building the engine's :class:`PersistentBackend` first if it has
-        none yet.
+        """Compute the unique uncached plane keys on the execution backend.
 
         Returns ``{plane key: series}`` for the computed multisets (empty on
         any backend failure, counted in ``stats.backend_fallbacks`` — the
@@ -657,8 +651,6 @@ class DisclosureEngine:
                 pending[plane_key] = None
         if len(pending) < 2:
             return {}  # nothing (or one series) to fan out; serial is cheaper
-        if self.backend is None:
-            self.backend = PersistentBackend()
         try:
             all_series = self.backend.run(
                 m,
@@ -666,7 +658,7 @@ class DisclosureEngine:
                 list(pending),
                 ks,
                 exact=self.exact,
-                workers=workers,
+                workers=self.workers,
                 kernel=self.context.kernel,
             )
         except Exception:
@@ -802,7 +794,6 @@ class DisclosureEngine:
         k: int,
         *,
         model: str | AdversaryModel = "implication",
-        bucketizations: dict | None = None,
     ) -> Callable[[tuple], bool]:
         """A cached node-level safety predicate for the lattice searches.
 
@@ -810,9 +801,7 @@ class DisclosureEngine:
         signature-level memo: two nodes whose bucketizations induce the same
         signature multiset resolve with one engine call and one threshold
         comparison. With ``CachePolicy.pin_sweeps``, every cache entry the
-        predicate inserts or reads is pinned. A prebuilt
-        ``node -> bucketization`` dict (e.g. from a parallel prewarm) is
-        consumed instead of re-bucketizing.
+        predicate inserts or reads is pinned.
 
         For those models the predicate also reads and fills the engine's
         memo of node signature multisets, so the sweeps of several policies
@@ -859,7 +848,6 @@ class DisclosureEngine:
             lattice,
             checker,
             signature_memo=signature_memo,
-            bucketizations=bucketizations,
             node_signatures=node_signatures,
         )
 
@@ -872,50 +860,19 @@ class DisclosureEngine:
         *,
         model: str | AdversaryModel = "implication",
         stats=None,
-        workers: int | None = None,
     ) -> list:
         """All minimal (c,k)-safe lattice nodes under ``model`` (the paper's
         modified-Incognito sweep, with this engine's cache behind it).
 
-        With ``workers > 1`` and a signature-decomposable model, every
-        node's disclosure is prewarmed on the engine's worker processes
-        before the sweep, which then runs on pure cache hits; the prewarm's
-        bucketizations are handed to the predicate so no node is bucketized
-        twice. The prewarm trades the sweep's monotonicity pruning and its
-        child roll-ups for parallelism: it bucketizes and evaluates all
-        nodes. On a 2-core host, the three policies of the ``sanitize``
-        benchmark took 449 ms with ``workers=1`` and 921 ms with
-        ``workers=2`` on 10,000 Adult rows, and 587 and 1,555 ms on 45,222.
-        ``backend="serial"`` and non-decomposable models skip the prewarm,
-        and a failed backend falls back; both keep the ordinary pruned
-        serial sweep.
+        The sweep runs in-process whatever the engine's ``workers``: it
+        checks one node at a time, so it skips every node above a safe one
+        and rolls each node up from an already-checked child.
         """
         from repro.generalization.search import find_minimal_safe_nodes
 
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        m = self.model(model)
-        workers = self.workers if workers is None else max(1, int(workers))
-        node_bucketizations: dict | None = None
-        if workers > 1 and self._fans_out and m.signature_decomposable():
-            from repro.generalization.apply import bucketize_at
-
-            node_bucketizations = {
-                node: bucketize_at(table, lattice, node)
-                for node in lattice.nodes()
-            }
-            bs = list(node_bucketizations.values())
-            ks = [k]
-            if self.policy.pin_sweeps:
-                # The prewarm IS the sweep's cache fill: pin it, or the
-                # pin_sweeps guarantee would only cover the serial path.
-                with self.pinned():
-                    self._parallel_warm(bs, ks, m, workers)
-            else:
-                self._parallel_warm(bs, ks, m, workers)
-        predicate = self.node_predicate(
-            table, lattice, c, k, model=m, bucketizations=node_bucketizations
-        )
+        predicate = self.node_predicate(table, lattice, c, k, model=model)
         return find_minimal_safe_nodes(lattice, predicate, stats=stats)
 
     def find_best_safe_node(

@@ -75,8 +75,8 @@ def run_figure5(
     adversaries share the engine's signature plane (one interned id-multiset
     keys both models' cache entries) and per-signature DP work; pass a
     shared ``engine`` — possibly with a bounded
-    :class:`~repro.engine.plane.CachePolicy` or ``workers > 1`` — to extend
-    that sharing across figures and nodes.
+    :class:`~repro.engine.plane.CachePolicy` — to extend that sharing
+    across figures and nodes.
 
     Examples
     --------

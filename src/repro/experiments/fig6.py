@@ -77,7 +77,6 @@ def run_figure6(
     min_entropy_floor: float | None = None,
     model: str | AdversaryModel = "implication",
     engine: DisclosureEngine | None = None,
-    workers: int | None = None,
 ) -> Figure6Result:
     """Sweep every node of the Adult lattice and build Figure 6's data.
 
@@ -95,13 +94,10 @@ def run_figure6(
         attacker; pass ``"negation"`` for the ℓ-diversity analogue).
     engine:
         Optional shared :class:`~repro.engine.engine.DisclosureEngine`.
-        Without one, the sweep runs on an engine of its own, closed (with
-        any worker processes it started) before the call returns.
-    workers:
-        Worker-process count for the node sweep (default: the engine's own
-        ``workers``). With ``workers > 1`` the unique signature multisets
-        across all nodes are evaluated in parallel and warm-backed into the
-        engine's cache; results are identical to the serial sweep.
+        Without one, the sweep runs in-process on a default engine of its
+        own. Pass one built with ``workers > 1`` to evaluate the sweep's
+        unique signature multisets on its worker processes; results are
+        identical to the in-process sweep.
 
     Notes
     -----
@@ -109,18 +105,11 @@ def run_figure6(
     the engine's signature plane: bucket signatures repeat heavily across
     anonymizations, so each distinct signature multiset is computed exactly
     once (Section 3.3.3's incremental remark) — serially through the shared
-    cache, or chunked over persistent worker processes.
+    cache, or, on an engine with workers, chunked over its persistent
+    worker processes.
     """
     if engine is None:
-        with DisclosureEngine() as own:
-            return run_figure6(
-                table,
-                ks=ks,
-                min_entropy_floor=min_entropy_floor,
-                model=model,
-                engine=own,
-                workers=workers,
-            )
+        engine = DisclosureEngine()
     ks = tuple(sorted(set(ks)))
     if not ks:
         raise ValueError("need at least one k")
@@ -138,7 +127,6 @@ def run_figure6(
         [bucketization for _, _, bucketization in kept],
         ks,
         model=model,
-        workers=workers,
     )
     records = [
         Figure6Node(

@@ -42,9 +42,7 @@ def node_safety_predicate(
     lattice: GeneralizationLattice,
     checker: Callable,
     *,
-    node_memo: dict | None = None,
     signature_memo: dict | None = None,
-    bucketizations: dict | None = None,
     node_signatures: dict | None = None,
 ) -> Callable[[Node], bool]:
     """Lift a bucketization-level safety check to lattice nodes.
@@ -69,15 +67,6 @@ def node_safety_predicate(
 
     Parameters
     ----------
-    node_memo:
-        Optional ``node -> bool`` dict: re-checked nodes skip bucketizing
-        entirely. Pass one dict across several searches on the same table
-        and threshold to share their work.
-    bucketizations:
-        Optional prebuilt ``node -> bucketization`` dict (e.g. from a
-        parallel prewarm); entries are *consumed* (popped) on first use so
-        peak memory shrinks as the sweep progresses, and missing nodes fall
-        back to :func:`~repro.generalization.apply.bucketize_at`.
     signature_memo:
         Optional ``signature items -> bool`` dict: nodes whose
         bucketizations induce the same signature multiset resolve with one
@@ -115,10 +104,6 @@ def node_safety_predicate(
     memo = _NodeGroupings()
 
     def is_safe(node: Node) -> bool:
-        if node_memo is not None:
-            cached = node_memo.get(node)
-            if cached is not None:
-                return cached
         items = None
         if node_signatures is not None:
             node = lattice.validate(node)
@@ -126,11 +111,7 @@ def node_safety_predicate(
         if items is not None:
             bucketization = Bucketization._from_signature_items(items)
         else:
-            bucketization = (
-                bucketizations.pop(node, None) if bucketizations is not None else None
-            )
-            if bucketization is None:
-                bucketization = bucketize_at(table, lattice, node, memo=memo)
+            bucketization = bucketize_at(table, lattice, node, memo=memo)
             if node_signatures is not None:
                 node_signatures[node] = bucketization.signature_items()
         if signature_memo is not None:
@@ -141,8 +122,6 @@ def node_safety_predicate(
                 signature_memo[signature_key] = result
         else:
             result = bool(checker(bucketization))
-        if node_memo is not None:
-            node_memo[node] = result
         return result
 
     return is_safe

@@ -12,8 +12,9 @@ The acceptance claims for the backend layer:
    worker processes; an idle timeout shuts them down and the next batch
    respawns them; a crashed worker pool respawns transparently; a model
    that cannot pickle degrades to the serial path without poisoning the
-   backend; a default engine builds its backend (and imports
-   :mod:`multiprocessing`) only when a batch first needs it.
+   backend; a default engine builds no backend and never imports
+   :mod:`multiprocessing`; a lattice sweep sends no batch to the workers,
+   whatever the engine's ``workers``.
 4. **Honest stats**: parallel batches are counted as ``parallel_hits``, so
    a cold cache with ``workers > 1`` reports a zero ``hit_rate``
    (the PR-3 ``EngineStats`` misattribution fix).
@@ -130,6 +131,8 @@ class TestEquivalence:
 
     @requires_numpy
     def test_search_prewarm_on_persistent_backend(self, shared_persistent):
+        """A sweep on an engine holding a persistent backend answers as a
+        serial engine does and ships the backend nothing."""
         from repro.data.adult import ADULT_SCHEMA
         from repro.data.hierarchies import adult_hierarchies
         from repro.experiments.runner import default_adult_table
@@ -142,9 +145,11 @@ class TestEquivalence:
         serial = DisclosureEngine(backend="serial").find_minimal_safe_nodes(
             table, lattice, 0.8, 2
         )
+        batches = shared_persistent.batches_run
         engine = DisclosureEngine(workers=2, backend=shared_persistent)
         assert engine.find_minimal_safe_nodes(table, lattice, 0.8, 2) == serial
-        assert engine.stats.parallel_tasks > 0
+        assert engine.stats.parallel_tasks == 0
+        assert shared_persistent.batches_run == batches
 
     @requires_numpy
     def test_fig6_on_persistent_backend(self, shared_persistent):
@@ -154,8 +159,9 @@ class TestEquivalence:
         table = default_adult_table(150)
         serial = run_figure6(table, ks=(1, 3))
         engine = DisclosureEngine(workers=2, backend=shared_persistent)
-        parallel = run_figure6(table, ks=(1, 3), engine=engine, workers=2)
+        parallel = run_figure6(table, ks=(1, 3), engine=engine)
         assert parallel.nodes == serial.nodes
+        assert engine.stats.parallel_tasks > 0
 
 
 #: Module-level so the hypothesis property reuses one worker pool; closed by
@@ -302,36 +308,44 @@ class TestLifecycle:
         values warm-backed into the cache). The pool must go down with the
         failed batch instead."""
 
-        with DisclosureEngine(workers=2, backend="persistent") as engine:
+        def batch(sizes):
+            # One bucket over three values per size: distinct signatures,
+            # none certain at k = 1, so every answer depends on its size.
+            return [
+                Bucketization.from_value_lists([["a"] * n + ["b", "b", "c"]])
+                for n in sizes
+            ]
+
+        def serial(bs):
+            return DisclosureEngine(backend="serial").evaluate_many(bs, [1])
+
+        with DisclosureEngine(workers=4, backend="persistent") as engine:
+            log = engine.backend.ship_log
             model = engine.model("implication")
-            bs = _random_bucketizations(6, seed=71)
-            good = engine.evaluate_many(bs, [1], model=model)
-            assert good == DisclosureEngine(backend="serial").evaluate_many(
-                bs, [1]
-            )  # two workers now hold the model resident
+            bs = batch(range(3, 5))
+            assert engine.evaluate_many(bs, [1], model=model) == serial(bs)
+            # Two uncached keys: two workers now hold the model resident.
+            assert log[-1]["tasks"] == log[-1]["workers_used"] == 2
             # Same model *identity*, now unpicklable: the two resident
-            # workers accept their chunks with ship_model=None, then
-            # pickling the instance for a newly spawned third worker fails
-            # mid-loop — two replies already in flight.
+            # workers accept their chunks (3 and 2 keys) with
+            # ship_model=None, then pickling the instance for a newly
+            # spawned third worker fails mid-loop — two replies already in
+            # flight.
             model.unpicklable = lambda: None
             try:
-                bs2 = _random_bucketizations(9, seed=72)
-                flaky = engine.evaluate_many(
-                    bs2, [1], model=model, workers=4
-                )
-                assert flaky == DisclosureEngine(
-                    backend="serial"
-                ).evaluate_many(bs2, [1])  # served by the serial fallback
+                bs2 = batch(range(5, 14))
+                flaky = engine.evaluate_many(bs2, [1], model=model)
+                assert flaky == serial(bs2)  # served by the serial fallback
             finally:
                 del model.unpicklable
-            # The batch after the failure must not read stale replies.
-            # Sized so the stale replies (3 + 2 results from the 9-key
-            # failed batch over 4 workers) would slot into this batch's
-            # 2-worker strides exactly — the silent-poisoning shape.
-            bs3 = _random_bucketizations(5, seed=73)
-            assert engine.evaluate_many(bs3, [1]) == DisclosureEngine(
-                backend="serial"
-            ).evaluate_many(bs3, [1])
+            assert engine.stats.backend_fallbacks == 1
+            # The batch after the failure must not read stale replies. Its
+            # 9 keys over 4 workers make chunks of 3, 2, 2 and 2, so the
+            # stale replies (3 and 2 results) would slot into its first two
+            # chunks exactly — the silent-poisoning shape.
+            bs3 = batch(range(14, 23))
+            assert engine.evaluate_many(bs3, [1]) == serial(bs3)
+            assert log[-1]["tasks"] == 9 and log[-1]["workers_used"] == 4
 
     def test_idle_timer_racing_a_batch_stands_down(self):
         """Regression: an idle-timer firing that raced a batch (blocked on
@@ -370,7 +384,7 @@ class TestLifecycle:
     def test_serial_backend_never_fans_out(self):
         engine = DisclosureEngine(workers=4, backend="serial")
         bs = _random_bucketizations(6, seed=41)
-        expected = DisclosureEngine().evaluate_many(bs, [1, 2], workers=1)
+        expected = DisclosureEngine().evaluate_many(bs, [1, 2])
         assert engine.evaluate_many(bs, [1, 2]) == expected
         assert engine.stats.parallel_tasks == 0
         assert engine.stats.parallel_hits == 0
@@ -419,6 +433,33 @@ class TestLifecycle:
             ):
                 engine.find_minimal_safe_nodes(table, lattice, 0.8, -1)
             assert engine.stats.backend_fallbacks == 0
+            assert engine.backend.batches_run == 0
+            assert engine.backend.worker_count() == 0
+
+    def test_lattice_sweeps_send_the_workers_nothing(
+        self, small_adult, adult_lattice
+    ):
+        """On an engine with two persistent workers, each policy of the
+        ``sanitize`` benchmark sweeps in-process: the serial engine's
+        minimal nodes, found with pruning, and no batch or worker."""
+        from repro.generalization.search import SearchStats
+
+        policies = (
+            (0.7, 3, "implication"),
+            (0.8, 3, "implication"),
+            (0.7, 2, "negation"),
+        )
+        serial = DisclosureEngine(backend="serial")
+        with DisclosureEngine(workers=2, backend="persistent") as engine:
+            for c, k, model in policies:
+                stats = SearchStats()
+                minimal = engine.find_minimal_safe_nodes(
+                    small_adult, adult_lattice, c, k, model=model, stats=stats
+                )
+                assert minimal == serial.find_minimal_safe_nodes(
+                    small_adult, adult_lattice, c, k, model=model
+                )
+                assert stats.pruned > 0
             assert engine.backend.batches_run == 0
             assert engine.backend.worker_count() == 0
 
@@ -486,8 +527,9 @@ class TestStats:
             assert engine.stats.hit_rate == 0.0
             assert engine.stats.parallel_hits > 0
             assert engine.stats.misses == 0  # served, just not from cache
-            # A serial rerun is genuine cache hits.
-            engine.evaluate_many(bs, [1, 2], workers=1)
+            # The rerun finds everything cached, so it stays in-process
+            # and counts genuine cache hits.
+            engine.evaluate_many(bs, [1, 2])
             assert engine.stats.cache_hits > 0
             assert engine.stats.hit_rate > 0.0
 
@@ -509,6 +551,8 @@ class TestStats:
 
     @requires_numpy
     def test_failed_lattice_prewarm_counted_as_fallback(self):
+        """A lattice sweep sends the backend nothing, so a backend that
+        can never run a batch costs it no fallback."""
         from repro.data.adult import ADULT_SCHEMA
         from repro.data.hierarchies import adult_hierarchies
         from repro.experiments.runner import default_adult_table
@@ -523,7 +567,7 @@ class TestStats:
         )
         engine = DisclosureEngine(workers=2, backend=_FailingBackend())
         assert engine.find_minimal_safe_nodes(table, lattice, 0.8, 2) == serial
-        assert engine.stats.backend_fallbacks == 1
+        assert engine.stats.backend_fallbacks == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cold_vs_warm_stats_per_backend(self, backend):
@@ -552,7 +596,7 @@ class TestPersistenceFixes:
         every loaded entry permanently."""
         bs = _random_bucketizations(8, seed=61)
         source = DisclosureEngine()
-        source.evaluate_many(bs, [1], workers=1)
+        source.evaluate_many(bs, [1])
         path = tmp_path / "cache.pkl"
         saved = source.save_cache(path)
         assert saved >= 8
@@ -577,7 +621,7 @@ class TestPersistenceFixes:
         that later *reads* a loaded entry claims it as usual."""
         bs = _random_bucketizations(5, seed=63)
         source = DisclosureEngine()
-        source.evaluate_many(bs, [1], workers=1)
+        source.evaluate_many(bs, [1])
         path = tmp_path / "cache.pkl"
         source.save_cache(path)
         engine = DisclosureEngine(
@@ -598,7 +642,7 @@ class TestPersistenceFixes:
         source = DisclosureEngine()
         expected = [source.evaluate(b, 1, model=model) for b in bs]
         # Mix in plane-tagged entries so both tags share the file.
-        source.evaluate_many(bs, [1], workers=1)
+        source.evaluate_many(bs, [1])
         path = tmp_path / "cache.pkl"
         saved = source.save_cache(path)
         assert saved == source.cache_size()

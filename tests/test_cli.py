@@ -7,7 +7,13 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.kernel import numpy_available
 from repro.data.adult import ADULT_SCHEMA
+from repro.data.hierarchies import adult_hierarchies
 from repro.data.loader import load_csv
+from repro.engine import DisclosureEngine
+from repro.experiments.fig5 import FIG5_NODE
+from repro.experiments.runner import default_adult_table
+from repro.generalization.apply import bucketize_at
+from repro.generalization.lattice import GeneralizationLattice
 
 
 class TestParser:
@@ -155,34 +161,62 @@ class TestCommands:
             )
 
     def test_backend_rejects_unknown(self):
-        """There is no --backend flag: --workers alone picks the path."""
+        """There is no --backend flag: serve's --workers alone picks the
+        path."""
         parser = build_parser()
-        assert parser.parse_args(["fig6", "--workers", "2"]).workers == 2
-        assert parser.parse_args(["serve"]).workers == 2
         for command in ("fig5", "fig6", "disclosure", "search", "serve"):
             for value in ("pool", "persistent", "serial"):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, "--backend", value])
 
+    @pytest.mark.parametrize(
+        "command", ["disclosure", "fig5", "fig6", "search"]
+    )
+    def test_only_serve_takes_workers(self, command, capsys):
+        """Every command but serve runs in-process, so argparse rejects
+        --workers as an unknown option."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_serve_parses_workers_with_default_2(self):
+        parser = build_parser()
+        assert parser.parse_args(["serve"]).workers == 2
+        assert parser.parse_args(["serve", "--workers", "1"]).workers == 1
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--workers", "0"])
+
     @pytest.mark.parametrize("backend", ["serial", "persistent"])
     def test_disclosure_runs_on_every_backend(self, backend, capsys):
-        workers = {"serial": "1", "persistent": "2"}[backend]
+        """The command runs in-process; its figures match a batch over the
+        node and its children on either backend, which two persistent
+        workers evaluate."""
         code = main(
-            ["disclosure", "--rows", "300", "--k", "2",
-             "--workers", workers, "--cache-stats"]
+            ["disclosure", "--rows", "300", "--k", "2", "--cache-stats"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "max disclosure" in out
         assert "parallel hits" in out  # the honest-stats counter is printed
-
-    def test_fig6_parallel_matches_serial(self, capsys):
-        code = main(["fig6", "--rows", "200", "--workers", "2"])
-        assert code == 0
-        parallel_out = capsys.readouterr().out
-        code = main(["fig6", "--rows", "200", "--workers", "1"])
-        assert code == 0
-        assert capsys.readouterr().out == parallel_out
+        table = default_adult_table(300, 20070419)
+        lattice = GeneralizationLattice(
+            adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
+        )
+        bucketizations = [
+            bucketize_at(table, lattice, node)
+            for node in [FIG5_NODE, *lattice.children(FIG5_NODE)]
+        ]
+        workers = {"serial": 1, "persistent": 2}[backend]
+        with DisclosureEngine(workers=workers, backend=backend) as engine:
+            for model, label in (
+                ("implication", "2 implications :"),
+                ("negation", "2 negations    :"),
+            ):
+                series = engine.evaluate_many(bucketizations, [2], model=model)
+                line = f"max disclosure, {label} {float(series[0][2]):.6f}"
+                assert line in out
+            assert (engine.stats.parallel_tasks > 0) == (workers > 1)
 
     def test_search_adversary_negation(self, capsys):
         code = main(

@@ -98,6 +98,19 @@ class TestCheckDocs:
         assert "`--made-up-flag` is not an option" in result.stderr
         assert "deployment.md:" in result.stderr
 
+    def test_flag_of_another_subcommand_fails(self, tmp_path):
+        """A span that names a subcommand may use only its options (and
+        the top-level ones), even when another subcommand has the flag."""
+        docs_dir = copy_docs(tmp_path)
+        guide = docs_dir / "architecture.md"
+        guide.write_text(
+            guide.read_text() + "\nSplit the sweep with `search --shards 2`.\n"
+        )
+        result = run_checker("--docs-dir", str(docs_dir))
+        assert result.returncode == 1
+        assert "`--shards` is not an option of `repro search`" in result.stderr
+        assert "architecture.md:" in result.stderr
+
     def test_missing_wire_doc_fails(self, tmp_path):
         docs_dir = copy_docs(tmp_path)
         (docs_dir / "wire-protocol.md").unlink()

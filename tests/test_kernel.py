@@ -246,4 +246,4 @@ class TestEngineIntegration:
         with DisclosureEngine(
             kernel="numpy", backend=backend, workers=2
         ) as engine:
-            assert engine.evaluate_many(bs, ks, workers=2) == expected
+            assert engine.evaluate_many(bs, ks) == expected

@@ -261,7 +261,7 @@ class TestParallelEvaluateMany:
         for exact in (False, True):
             for model in DECOMPOSABLE:
                 serial = DisclosureEngine(exact=exact).evaluate_many(
-                    bucketizations, ks, model=model, workers=1
+                    bucketizations, ks, model=model
                 )
                 with DisclosureEngine(exact=exact, workers=2) as parallel_engine:
                     parallel = parallel_engine.evaluate_many(
@@ -278,7 +278,8 @@ class TestParallelEvaluateMany:
             # Everything the assembly looked up arrived via warm-back.
             assert engine.stats.misses == 0
             hits = engine.stats.cache_hits
-            engine.evaluate_many(bucketizations, ks, workers=1)
+            # Nothing is left uncached, so the rerun stays in-process.
+            engine.evaluate_many(bucketizations, ks)
             assert engine.stats.misses == 0
             assert engine.stats.cache_hits > hits
 
@@ -290,7 +291,7 @@ class TestParallelEvaluateMany:
             parallel = engine.evaluate_many(bucketizations, [1], model=model)
         assert engine.stats.parallel_tasks == 0  # never reached a worker
         serial = DisclosureEngine().evaluate_many(
-            bucketizations, [1], model=model, workers=1
+            bucketizations, [1], model=model
         )
         assert parallel == serial
 
@@ -300,9 +301,7 @@ class TestParallelEvaluateMany:
         after warm-back entries were evicted."""
         bucketizations = _random_bucketizations(12, seed=41)
         ks = [2, 3]
-        serial = DisclosureEngine().evaluate_many(
-            bucketizations, ks, workers=1
-        )
+        serial = DisclosureEngine().evaluate_many(bucketizations, ks)
         with DisclosureEngine(
             policy=CachePolicy(max_entries=3), workers=2
         ) as engine:
@@ -331,9 +330,7 @@ class TestParallelEvaluateMany:
         bucketizations = _random_bucketizations(4, seed=2)
         with DisclosureEngine(workers=2) as engine:
             result = engine.evaluate_many(bucketizations, [1], model=model)
-        serial = DisclosureEngine().evaluate_many(
-            bucketizations, [1], workers=1
-        )
+        serial = DisclosureEngine().evaluate_many(bucketizations, [1])
         assert result == serial
 
 
@@ -406,8 +403,9 @@ class TestCachePolicy:
 
     @requires_numpy
     def test_pin_sweeps_covers_parallel_prewarm(self):
-        """The parallel prewarm inside find_minimal_safe_nodes must pin its
-        warm-back entries too, so the sweep's cache fill survives churn."""
+        """A pin_sweeps engine pins the sweep's whole cache fill: the
+        entries survive churn, and a rerun of the sweep is all cache
+        hits."""
         table = default_adult_table(200)
         from repro.data.adult import ADULT_SCHEMA
         from repro.data.hierarchies import adult_hierarchies
@@ -417,19 +415,15 @@ class TestCachePolicy:
             adult_hierarchies(), ADULT_SCHEMA.quasi_identifiers
         )
         engine = DisclosureEngine(
-            policy=CachePolicy(max_entries=100, pin_sweeps=True), workers=2
+            policy=CachePolicy(max_entries=100, pin_sweeps=True)
         )
-        with engine:
-            result = engine.find_minimal_safe_nodes(table, lattice, 0.9, 2)
-        pinned = engine.pinned_count()
-        assert pinned > 0
+        result = engine.find_minimal_safe_nodes(table, lattice, 0.9, 2)
+        assert engine.pinned_count() > 0
         # Churn with unpinned traffic: the sweep's entries must all survive.
         for b in _random_bucketizations(120, seed=31):
             engine.evaluate(b, 2)
         misses = engine.stats.misses
-        rerun = engine.find_minimal_safe_nodes(
-            table, lattice, 0.9, 2, workers=1
-        )
+        rerun = engine.find_minimal_safe_nodes(table, lattice, 0.9, 2)
         assert rerun == result
         assert engine.stats.misses == misses  # pure cache hits
 
@@ -457,9 +451,9 @@ class TestCachePersistence:
         bucketizations = _random_bucketizations(5, seed=23)
         source = DisclosureEngine()
         expected = source.evaluate_many(
-            bucketizations, [1, 2], model="implication", workers=1
+            bucketizations, [1, 2], model="implication"
         )
-        source.evaluate_many(bucketizations, [1], model="negation", workers=1)
+        source.evaluate_many(bucketizations, [1], model="negation")
         path = tmp_path / "cache.pkl"
         saved = source.save_cache(path)
         assert saved == source.cache_size()
@@ -469,7 +463,7 @@ class TestCachePersistence:
         assert loaded == saved
         # Every lookup is now a hit, and values are identical.
         result = fresh.evaluate_many(
-            bucketizations, [1, 2], model="implication", workers=1
+            bucketizations, [1, 2], model="implication"
         )
         assert result == expected
         assert fresh.stats.misses == 0
@@ -477,7 +471,7 @@ class TestCachePersistence:
     def test_load_respects_cache_policy(self, tmp_path):
         bucketizations = _random_bucketizations(6, seed=29)
         source = DisclosureEngine()
-        source.evaluate_many(bucketizations, [1, 2], workers=1)
+        source.evaluate_many(bucketizations, [1, 2])
         path = tmp_path / "cache.pkl"
         source.save_cache(path)
         bounded = DisclosureEngine(policy=CachePolicy(max_entries=4))
@@ -532,6 +526,8 @@ class TestPlaneConsumers:
             assert safe == (value < threshold)
 
     def test_parallel_search_prewarm_matches_serial(self):
+        """A sweep on an engine with workers answers as a serial engine
+        does, and sends no batch to the workers."""
         table = default_adult_table(150)
         from repro.data.adult import ADULT_SCHEMA
         from repro.data.hierarchies import adult_hierarchies
@@ -545,14 +541,14 @@ class TestPlaneConsumers:
         )
         with DisclosureEngine(workers=2) as parallel_engine:
             parallel = parallel_engine.find_minimal_safe_nodes(
-                table, lattice, 0.8, 2, workers=2
+                table, lattice, 0.8, 2
             )
         assert parallel == serial
-        assert parallel_engine.stats.parallel_tasks > 0
+        assert parallel_engine.stats.parallel_tasks == 0
 
     def test_search_prewarm_skipped_for_non_decomposable_models(self):
-        """--workers on a non-decomposable model must keep the ordinary
-        pruned serial sweep, not serially evaluate every node."""
+        """An engine with workers keeps the ordinary pruned serial sweep
+        for a non-decomposable model, not evaluating every node."""
         table = default_adult_table(100)
         from repro.data.adult import ADULT_SCHEMA
         from repro.data.hierarchies import adult_hierarchies
@@ -566,7 +562,7 @@ class TestPlaneConsumers:
         stats = SearchStats()
         with DisclosureEngine(workers=2) as engine:
             engine.find_minimal_safe_nodes(
-                table, lattice, 0.95, 1, model=model, stats=stats, workers=2
+                table, lattice, 0.95, 1, model=model, stats=stats
             )
         assert engine.stats.parallel_tasks == 0  # no worker ever used
         # Pruning intact: the sweep did not evaluate the whole lattice.
@@ -576,17 +572,16 @@ class TestPlaneConsumers:
         table = default_adult_table(150)
         serial = run_figure6(table, ks=(1, 3))
         with DisclosureEngine(workers=2) as engine:
-            parallel = run_figure6(table, ks=(1, 3), engine=engine, workers=2)
+            parallel = run_figure6(table, ks=(1, 3), engine=engine)
         assert parallel.nodes == serial.nodes
+        assert engine.stats.parallel_tasks > 0
 
     def test_fig6_own_engine_leaves_no_workers(self):
-        """Without an engine passed, run_figure6 closes the one it builds,
-        so a workers=2 sweep stops the workers it started."""
+        """Without an engine passed, run_figure6 sweeps in-process on a
+        default engine of its own and starts no process."""
         import multiprocessing
 
         table = default_adult_table(150)
         before = set(multiprocessing.active_children())
-        serial = run_figure6(table, ks=(1, 3))
-        parallel = run_figure6(table, ks=(1, 3), workers=2)
-        assert parallel.nodes == serial.nodes
+        run_figure6(table, ks=(1, 3))
         assert set(multiprocessing.active_children()) <= before
