@@ -20,12 +20,11 @@ against in-process :class:`~repro.service.server.BackgroundService` /
   coalesced batches, and the answers stay bit-identical to a direct
   :class:`~repro.engine.engine.DisclosureEngine`;
 - **sharding preserves the bits and never costs throughput**: a 3-shard
-  plane-key-routed deployment (``shard_mode="auto"``: in-process shards
-  on a low-core box, subprocess shards when cores outnumber shards)
-  answers a concurrent workload identically to the single service and to
-  the direct engine (``sharded.identical_results``), and — thanks to the
-  router's zero-reparse byte memo, cache-peek fast path and upstream
-  coalescing — at least matches the single service's req/s
+  plane-key-routed deployment (its shards embedded in the router
+  process) answers a concurrent workload identically to the single
+  service and to the direct engine (``sharded.identical_results``), and
+  — thanks to the router's zero-reparse byte memo and cache-peek fast
+  path — at least matches the single service's req/s
   (``sharded.requests_per_s_ratio >= 1.0``, enforced for non-tiny runs
   by ``scripts/check_bench_schema.py``);
 - **routing is cheap**: the ``router_overhead`` microbench times one
@@ -397,9 +396,7 @@ def test_service_latency_throughput_coalescing(benchmark):
         single_elapsed, single_answers, _ = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes
         )
-    with BackgroundRouter(
-        shards=SHARDS, shard_mode="auto"
-    ) as bg:
+    with BackgroundRouter(shards=SHARDS) as bg:
         sharded_elapsed, sharded_answers, sharded_latencies = _hammer(
             bg.host, bg.port, bs, K + 3, hammer_passes
         )
@@ -480,7 +477,6 @@ def test_service_latency_throughput_coalescing(benchmark):
                 "requests_per_s_ratio": round(sharded_ratio, 3),
                 **_percentiles(sharded_latencies),
                 "split_batches": router_stats["split_batches"],
-                "restarts": router_stats["restarts"],
                 "route_memo_hits": router_stats["route_memo_hits"],
                 "reparse_avoided": router_stats["reparse_avoided"],
                 "fast_hits": router_stats["fast_hits"],

@@ -144,7 +144,6 @@ SHARDED_KEYS = (
         "single_requests_per_s",
         "requests_per_s_ratio",
         "split_batches",
-        "restarts",
         "route_memo_hits",
         "reparse_avoided",
         "fast_hits",

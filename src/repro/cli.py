@@ -33,9 +33,8 @@ Subcommands
     both arithmetic modes, keep-alive connections, request coalescing, cache
     persistence across restarts, graceful SIGTERM shutdown. With
     ``--shards N`` (N >= 2) it instead runs the sharded tier
-    (:class:`repro.service.router.ShardRouter`): N child service shards —
-    subprocesses or embedded in the router, per ``--shard-mode`` — behind
-    a plane-key hash router with restart-and-replay supervision and one
+    (:class:`repro.service.router.ShardRouter`): N service shards embedded
+    in the router process behind a plane-key hash router, with one
     persisted cache file pair per shard.
 
 Every command accepts ``--rows``/``--seed`` to control the synthetic dataset
@@ -382,22 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "run N service shards behind a plane-key hash router "
-            "(cache-affinity routing, restart-and-replay supervision, "
-            "per-shard cache files); 1 = a single in-process service "
-            "(default 1)"
-        ),
-    )
-    p_serve.add_argument(
-        "--shard-mode",
-        choices=("auto", "process", "inproc"),
-        default="auto",
-        help=(
-            "how --shards N shards run: 'process' = one subprocess per "
-            "shard (the multi-core topology), 'inproc' = shards embedded "
-            "in the router process (no socket hop; right when cores <= "
-            "shards), 'auto' = process only when this host has more cores "
-            "than shards (default auto)"
+            "run N service shards in this process behind a plane-key "
+            "hash router (cache-affinity routing, per-shard cache "
+            "files); 1 = a single service (default 1)"
         ),
     )
     p_serve.add_argument(
@@ -750,7 +736,6 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             shards=args.shards,
-            shard_mode=args.shard_mode,
             workers=args.workers,
             kernel=args.kernel,
             cache_limit=args.cache_limit,
@@ -773,8 +758,8 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
             tenants=args.tenants,
             ledger_file=args.ledger_file,
         )
-    # Handlers go in BEFORE the port line is printed: a supervisor (the
-    # shard router, a test harness) treats the port line as "booted" and
+    # Handlers go in BEFORE the port line is printed: a wrapper (a test
+    # harness, perfbench) treats the port line as "booted" and
     # may SIGTERM immediately — which must always mean a graceful,
     # cache-saving shutdown, never the default handler.
     stop = asyncio.Event()
@@ -790,19 +775,11 @@ async def _serve_until_signalled(args: argparse.Namespace) -> int:
     # --port 0 can read the ephemeral port back.
     print(f"serving on http://{service.host}:{service.port}", flush=True)
     if args.shards > 1:
-        if service.shard_mode == "inproc":
-            print(
-                f"router: {args.shards} in-process shards; "
-                f"workers={args.workers} per shard",
-                flush=True,
-            )
-        else:
-            ports = [shard.port for shard in service.shards]
-            print(
-                f"router: {args.shards} shards on ports {ports}; "
-                f"workers={args.workers} per shard",
-                flush=True,
-            )
+        print(
+            f"router: {args.shards} in-process shards; "
+            f"workers={args.workers} per shard",
+            flush=True,
+        )
     else:
         loaded = service.loaded_entries
         print(

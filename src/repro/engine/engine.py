@@ -549,10 +549,22 @@ class DisclosureEngine:
         ks = sorted(set(ks))
         if ks and ks[0] < 0:
             raise ValueError(f"k must be non-negative, got {ks[0]}")
+        return self._series(
+            m, bucketization, ks, self._bucket_key(m, bucketization)
+        )
+
+    def _series(
+        self,
+        m: AdversaryModel,
+        bucketization: Bucketization,
+        ks: list[int],
+        bucket_key,
+    ) -> dict[int, object]:
+        """:meth:`series` for sorted, validated ``ks`` and the already
+        computed ``bucket_key`` of ``bucketization``."""
         result: dict[int, object] = {}
         missing: list[int] = []
         name, params = m.name, m.params_key()
-        bucket_key = self._bucket_key(m, bucketization)
         for k in ks:
             key = (name, params, k, bucket_key)
             self.stats.evaluations += 1
@@ -599,17 +611,18 @@ class DisclosureEngine:
         if ks and ks[0] < 0:
             raise ValueError(f"k must be non-negative, got {ks[0]}")
         m = self.model(model)
-        warmed: dict[tuple, dict[int, object]] = {}
-        if (
+        if not (
             self.backend is not None
             and self.workers > 1
             and len(bs) > 1
             and ks
             and m.signature_decomposable()
         ):
-            warmed = self._parallel_warm(bs, ks, m)
-        if not warmed:
             return [self.series(b, ks, model=m) for b in bs]
+        # Each bucketization is encoded on the plane once: the fan-out and
+        # the assembly below share these keys.
+        plane_keys = [self.plane.encode(b) for b in bs]
+        warmed = self._parallel_warm(plane_keys, ks, m)
         # Assemble from the batch's own results where available (not only via
         # the cache warm-back: a tight CachePolicy may already have evicted
         # them, and recomputing serially would waste the workers' effort).
@@ -617,10 +630,10 @@ class DisclosureEngine:
         # were produced by this very call, so a cold cache keeps an honest
         # zero hit_rate.
         results = []
-        for b in bs:
-            series = warmed.get(self.plane.encode(b))
+        for b, plane_key in zip(bs, plane_keys):
+            series = warmed.get(plane_key)
             if series is None:
-                results.append(self.series(b, ks, model=m))
+                results.append(self._series(m, b, ks, ("plane", plane_key)))
                 continue
             self.stats.evaluations += len(ks)
             self.stats.parallel_hits += len(ks)
@@ -629,11 +642,12 @@ class DisclosureEngine:
 
     def _parallel_warm(
         self,
-        bucketizations: Sequence[Bucketization],
+        plane_keys: Sequence[tuple],
         ks: Sequence[int],
         m: AdversaryModel,
     ) -> dict[tuple, dict[int, object]]:
-        """Compute the unique uncached plane keys on the execution backend.
+        """Compute the unique uncached ``plane_keys`` on the execution
+        backend.
 
         Returns ``{plane key: series}`` for the computed multisets (empty on
         any backend failure, counted in ``stats.backend_fallbacks`` — the
@@ -642,8 +656,7 @@ class DisclosureEngine:
         cache so later calls hit."""
         name, params = m.name, m.params_key()
         pending: dict[tuple, None] = {}
-        for b in bucketizations:
-            plane_key = self.plane.encode(b)
+        for plane_key in plane_keys:
             if plane_key in pending:
                 continue
             tagged = ("plane", plane_key)

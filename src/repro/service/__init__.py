@@ -19,12 +19,10 @@ matches a server's. This package is that server, and its horizontal scaling tier
   ``evaluate_many`` batch on the signature plane), graceful
   load-cache/save-cache lifecycle, and :class:`BackgroundService` for
   in-process embedding.
-- :mod:`repro.service.router` — :class:`ShardRouter`, N supervised
-  service shards behind a plane-key hash router (cache-affinity routing
-  through the same resolver and memo, lossless batch split/merge, upstream
-  coalescing, restart-and-replay, aggregated stats). Shards run as
-  subprocesses or embedded in the router process
-  (``shard_mode="process"/"inproc"/"auto"``), plus
+- :mod:`repro.service.router` — :class:`ShardRouter`, N service shards
+  embedded in the router process behind a plane-key hash router
+  (cache-affinity routing through the same resolver and memo, lossless
+  batch split/merge, per-shard cache files, aggregated stats), plus
   :class:`BackgroundRouter`.
 - :mod:`repro.service.client` — :class:`ServiceClient`, the blocking
   stdlib client with a bounded keep-alive connection pool whose answers
@@ -40,7 +38,7 @@ or embed it::
         client.disclosure(bucketization, k=3, model="negation")
 
     with BackgroundRouter(shards=3) as bg:
-        bg.client().disclosure(bucketization, k=3)  # same bits, 3 processes
+        bg.client().disclosure(bucketization, k=3)  # same bits, 3 shards
 """
 
 from repro.service.client import ServiceClient, ServiceError
@@ -48,11 +46,8 @@ from repro.service.httpbase import ConnectionStats, JsonHttpServer
 from repro.service.router import (
     BackgroundRouter,
     InprocShard,
-    ProcessShard,
     RouterStats,
-    Shard,
     ShardRouter,
-    resolve_shard_mode,
 )
 from repro.service.server import (
     BackgroundService,
@@ -79,10 +74,7 @@ __all__ = [
     "ShardRouter",
     "BackgroundRouter",
     "RouterStats",
-    "Shard",
-    "ProcessShard",
     "InprocShard",
-    "resolve_shard_mode",
     "JsonHttpServer",
     "ConnectionStats",
     "ServiceClient",

@@ -27,10 +27,10 @@ is that dialect, factored out once:
 Both tiers also serve one endpoint table, :data:`ROUTES` and
 :data:`PREFIX_ROUTES`: :meth:`JsonHttpServer._route` dispatches from it to
 the subclass's handler methods of the listed names, and every handled
-request is counted once in the subclass's :class:`RequestStats`. Both
-tiers drain concurrent singles through one :class:`Coalescer`, each with
-its own group callback. :class:`BackgroundHost` runs any such server on a
-daemon thread for tests and benchmarks.
+request is counted once in the subclass's :class:`RequestStats`. The
+service drains concurrent singles through a :class:`Coalescer` (a router
+reaches it through each shard's service). :class:`BackgroundHost` runs
+any such server on a daemon thread for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -182,9 +182,8 @@ def set_nodelay(sock: Any) -> None:
     Every socket in the serving tier carries small keep-alive JSON
     requests — exactly the traffic pattern Nagle's algorithm delays by up
     to an RTT while it waits for more payload to batch. The tier calls
-    this on every accepted connection, every client connection, and every
-    router→shard pool connection; Unix sockets and mocks (no
-    ``IPPROTO_TCP``) are silently left alone.
+    this on every accepted connection and every client connection; Unix
+    sockets and mocks (no ``IPPROTO_TCP``) are silently left alone.
     """
     if sock is None:
         return
@@ -531,8 +530,8 @@ class JsonHttpServer:
         Returns ``(status, payload, must_close)`` — ``must_close`` marks
         responses after which a keep-alive connection must not be reused.
         This is the full request semantics minus the socket, which is what
-        lets an in-process shard answer through the same code path as a
-        real connection (see :mod:`repro.service.router`).
+        lets a shard answer through the same code path as a real
+        connection (see :mod:`repro.service.router`).
         """
         return await guarded(self._route(method, path, body))
 

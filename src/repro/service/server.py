@@ -62,8 +62,8 @@ bodies up to 64 KiB, validated bodies only, ``/stats ->
 service.memo_hits``): a byte-identical repeat skips parsing, validation
 and keying. The memo holds identities, never answers: every value still
 comes from the engine cache. One process keeps one memo, in whichever
-object reads the socket (the service, or the router in front of
-in-process shards).
+object reads the socket (the service, or the router in front of its
+shards).
 
 **Fully cached answers on the event loop.** Before any ``Bucketization``
 is built or the engine thread is involved, every ``(model, k,
@@ -80,8 +80,8 @@ persisted cache (``load_cache``; a file that fails to load is renamed to
 boots empty), :meth:`DisclosureService.stop` drains,
 saves the caches and closes the engines — ``repro serve`` ties those to
 process SIGTERM/SIGINT. :class:`BackgroundService` runs the whole thing on
-a daemon thread for tests and benchmarks. For the horizontally sharded
-topology (N of these processes behind a plane-key hash router) see
+a daemon thread for tests and benchmarks. For the sharded topology (N of
+these services embedded behind a plane-key hash router) see
 :mod:`repro.service.router`.
 """
 
@@ -163,8 +163,7 @@ def load_tenants(source: str | Path | Mapping[str, Any]) -> dict[str, dict]:
     an optional registered model ``name`` and an optional ``params`` wire
     object (decoded here once, and test-constructed so a bad topology
     fails at boot, not on the first request). ``params_wire`` keeps the
-    original JSON shape for re-serialization (subprocess shards receive
-    the topology over ``--tenants``).
+    original JSON shape.
 
     Raises :class:`ValueError` on any problem — the CLI maps that to a
     clean exit 1.
@@ -505,7 +504,7 @@ class ServiceStats(RequestStats):
     from the engine cache on the event loop, ``series_fast_hits`` the
     ``/disclosure`` batches and ``/compare`` requests so answered, and
     ``memo_hits`` the lookup bodies this service resolved from its request
-    memo (in-process shards leave it at 0: their router keeps the memo).
+    memo (shards leave it at 0: their router keeps the memo).
     ``cache_files_quarantined`` counts persisted cache files that failed
     to load at boot and were renamed to ``<file>.corrupt``.
     """
@@ -604,7 +603,7 @@ class DisclosureService(JsonHttpServer):
         Optional SQLite path for the release ledger behind ``/publish``
         (in-memory when absent — publish still works, but release history
         dies with the process). In a sharded fleet the router hands each
-        subprocess shard ``<prefix>.shard<i>.sqlite``.
+        shard ``<prefix>.shard<i>.sqlite``.
 
     Notes
     -----
@@ -666,8 +665,8 @@ class DisclosureService(JsonHttpServer):
         #: Lookup bodies -> validated identities, memoized by their bytes.
         self.resolver = RequestResolver(self.tenants)
         #: The release ledger behind ``/publish`` — persistent when
-        #: ``ledger_file`` is given (the router hands each subprocess shard
-        #: its own ``<prefix>.shard<i>.sqlite``), in-memory otherwise.
+        #: ``ledger_file`` is given (the router hands each shard its own
+        #: ``<prefix>.shard<i>.sqlite``), in-memory otherwise.
         self.ledger = ReleaseLedger(
             str(ledger_file) if ledger_file is not None else ":memory:"
         )
@@ -728,11 +727,12 @@ class DisclosureService(JsonHttpServer):
         """The socketless half of :meth:`start`: load persisted caches and
         start the coalescer — everything but the listening socket.
 
-        This is how an **in-process shard** boots: the router embeds a
+        This is how a **shard** boots: the router embeds a
         :class:`DisclosureService` directly on its own event loop and
-        feeds it through :meth:`~repro.service.httpbase.JsonHttpServer.dispatch`,
-        so the engines, coalescer, stats and cache lifecycle behave exactly
-        as in a subprocess shard — minus the socket and the extra process.
+        feeds it through :meth:`~repro.service.httpbase.JsonHttpServer.dispatch`
+        (or hands it resolved identities), so the engines, coalescer, stats
+        and cache lifecycle behave exactly as in a standalone service —
+        minus the socket.
         """
         if self.cache_path is not None:
             for tenant, mode, engine in self._all_engines():

@@ -180,6 +180,17 @@ class TestCommands:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["auto", "process", "inproc"])
+    def test_serve_takes_no_shard_mode(self, mode, capsys):
+        """Shards always run inside the router process, so argparse
+        rejects --shard-mode as an unknown option."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--shards", "2", "--shard-mode", mode]
+            )
+        assert excinfo.value.code == 2
+        assert "--shard-mode" in capsys.readouterr().err
+
     def test_serve_parses_workers_with_default_2(self):
         parser = build_parser()
         assert parser.parse_args(["serve"]).workers == 2

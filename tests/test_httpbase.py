@@ -41,9 +41,7 @@ def tier(request):
     if request.param == "service":
         host = BackgroundService(request_timeout=TIMEOUT)
     else:
-        host = BackgroundRouter(
-            shards=2, shard_mode="inproc", request_timeout=TIMEOUT
-        )
+        host = BackgroundRouter(shards=2, request_timeout=TIMEOUT)
     with host as bg:
         yield bg
 

@@ -576,6 +576,28 @@ class TestPlaneConsumers:
         assert parallel.nodes == serial.nodes
         assert engine.stats.parallel_tasks > 0
 
+    def test_fig6_with_workers_encodes_each_node_once(
+        self, small_adult, monkeypatch
+    ):
+        """An engine with workers encodes each of the 72 nodes on the
+        signature plane once, as an in-process engine does: the fan-out
+        and the assembly share one key per bucketization."""
+        calls = [0]
+        encode = SignaturePlane.encode
+
+        def counting(plane, bucketization):
+            calls[0] += 1
+            return encode(plane, bucketization)
+
+        monkeypatch.setattr(SignaturePlane, "encode", counting)
+        serial = run_figure6(small_adult, engine=DisclosureEngine())
+        serial_calls, calls[0] = calls[0], 0
+        with DisclosureEngine(workers=2) as engine:
+            parallel = run_figure6(small_adult, engine=engine)
+        assert engine.stats.parallel_tasks > 0
+        assert serial_calls == calls[0] == 72
+        assert parallel == serial
+
     def test_fig6_own_engine_leaves_no_workers(self):
         """Without an engine passed, run_figure6 sweeps in-process on a
         default engine of its own and starts no process."""

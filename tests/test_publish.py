@@ -361,11 +361,12 @@ class TestServiceEndpoints:
 class TestRouterForwarding:
     @pytest.mark.parametrize("shard_mode", ["inproc"])
     def test_publish_affinity_and_fanout(self, shard_mode):
-        with BackgroundRouter(
-            shards=2,
-            shard_mode=shard_mode,
-        ) as bg:
+        with BackgroundRouter(shards=2) as bg:
             client = bg.client()
+            assert all(
+                entry["mode"] == shard_mode
+                for entry in client.health()["shards"]
+            )
             v1 = client.publish("demo", V1_LISTS, c=0.9, k=1)
             v2 = client.publish("demo", V2_LISTS, c=0.9, k=1)
             other = client.publish("other", V1_LISTS, c=0.9, k=1)

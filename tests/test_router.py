@@ -1,6 +1,6 @@
 """End-to-end tests for the sharded service tier.
 
-The router's contract (ISSUE 5 acceptance criteria):
+The router's contract:
 
 - a 3-shard deployment behind the plane-key hash router answers
   **bit-identically** to a direct single
@@ -10,14 +10,13 @@ The router's contract (ISSUE 5 acceptance criteria):
   losslessly in the original order;
 - routing is a *stable* function of the plane key — the same question
   always lands on the same shard (cache affinity);
-- a killed shard process is restarted and the in-flight request replayed;
+- every shard is embedded in the router process, on any host;
 - ``/stats`` and ``/healthz`` aggregate across shards; shutdown persists
   one cache file pair per shard under the shared prefix.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import random
@@ -27,7 +26,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from fractions import Fraction
 from http.client import HTTPConnection
 from pathlib import Path
@@ -48,11 +46,7 @@ from repro.service.httpbase import (
     PREFIX_ROUTES,
     ROUTES,
 )
-from repro.service.router import (
-    BackgroundRouter,
-    resolve_shard_mode,
-    shard_key,
-)
+from repro.service.router import BackgroundRouter, shard_key
 
 SHARDS = 3
 CLIENTS = 8
@@ -70,14 +64,11 @@ def _random_bucketizations(count: int, seed: int) -> list[Bucketization]:
     return out
 
 
-@pytest.fixture(scope="module", params=["inproc", "process"])
-def router(request):
-    """One shared 3-shard deployment per shard mode: every read-mostly
-    test runs against embedded shards AND subprocess shards."""
-    with BackgroundRouter(
-        shards=SHARDS,
-        shard_mode=request.param,
-    ) as bg:
+@pytest.fixture(scope="module", params=["inproc"])
+def router():
+    """One shared 3-shard deployment for every read-mostly test (the
+    ``inproc`` id names the kind of shard it embeds)."""
+    with BackgroundRouter(shards=SHARDS) as bg:
         yield bg
 
 
@@ -348,7 +339,7 @@ class TestParametricRouting:
 
     def test_parametric_route_stable_across_router_restarts(self):
         """The owning shard for an explicit-params request is a durable
-        function of the question — a restarted router (fresh processes,
+        function of the question — a restarted router (fresh shards,
         fresh model instances) routes it to the same shard index."""
         b = Bucketization.from_value_lists(
             [["s", "s", "t", "a"], ["s", "t", "b", "b"]]
@@ -356,10 +347,7 @@ class TestParametricRouting:
         params = {"weights": {"s": 2.0, "t": 0.5}}
 
         def owning_shard() -> tuple[int, float]:
-            with BackgroundRouter(
-                shards=SHARDS,
-                shard_mode="inproc",
-            ) as bg:
+            with BackgroundRouter(shards=SHARDS) as bg:
                 client = bg.client()
                 value = client.disclosure(
                     b, 1, model="weighted", params=params
@@ -411,7 +399,7 @@ ROUTER_TENANTS = {
 
 
 class TestRouterTenants:
-    @pytest.mark.parametrize("shard_mode", ["inproc", "process"])
+    @pytest.mark.parametrize("shard_mode", ["inproc"])
     def test_tenants_served_and_isolated(self, tmp_path, shard_mode):
         prefix = tmp_path / "fleet"
         b = Bucketization.from_value_lists(
@@ -420,11 +408,14 @@ class TestRouterTenants:
         engine = DisclosureEngine()
         with BackgroundRouter(
             shards=2,
-            shard_mode=shard_mode,
             cache_path=prefix,
             tenants=ROUTER_TENANTS,
         ) as bg:
             client = bg.client()
+            assert all(
+                entry["mode"] == shard_mode
+                for entry in client.health()["shards"]
+            )
             acme = client.disclosure(b, 2, tenant="acme")
             globex = client.disclosure(b, 2, tenant="globex")
             plain = client.disclosure(b, 2)
@@ -462,8 +453,8 @@ class TestRouterTenants:
                     ).exists()
 
     def test_tenants_file_cli_topology(self, tmp_path):
-        """``repro serve --shards 2 --tenants FILE`` — the subprocess-shard
-        topology reads the same JSON file the router validated."""
+        """``repro serve --shards 2 --tenants FILE`` — each embedded shard
+        reads the same JSON file the router validated."""
         if not hasattr(signal, "SIGTERM"):
             pytest.skip("needs POSIX signals")
         import json as json_module
@@ -487,8 +478,6 @@ class TestRouterTenants:
                 "0",
                 "--shards",
                 "2",
-                "--shard-mode",
-                "process",
                 "--workers",
                 "1",
                 "--tenants",
@@ -530,20 +519,33 @@ class TestRouterTenants:
 
 
 # ---------------------------------------------------------------------------
-# Shard modes and the routing hot path
+# The one kind of shard, and the routing hot path
 # ---------------------------------------------------------------------------
+#: The ``/stats -> router`` keys perfbench's ``stat_counters`` and
+#: ``run_http`` read; a missing one makes a benchmark run raise.
+PERFBENCH_ROUTER_KEYS = {
+    "route_memo_hits",
+    "fast_hits",
+    "proxied",
+    "requests_total",
+    "coalesced_batches",
+    "shard_mode",
+}
+
+
 class TestShardModes:
-    def test_resolve_shard_mode(self, monkeypatch):
-        assert resolve_shard_mode("process", 8) == "process"
-        assert resolve_shard_mode("inproc", 1) == "inproc"
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert resolve_shard_mode("auto", 4) == "process"
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert resolve_shard_mode("auto", 4) == "inproc"
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert resolve_shard_mode("auto", 2) == "inproc"
-        with pytest.raises(ValueError):
-            resolve_shard_mode("martian", 2)
+    def test_shards_are_embedded_on_any_host(self, monkeypatch):
+        """However many cores the host has, every shard runs inside the
+        router process, and ``/stats`` keeps every key perfbench reads."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        with BackgroundRouter(shards=2) as bg:
+            with bg.client() as client:
+                health = client.health()
+                router = client.stats()["router"]
+        assert [entry["mode"] for entry in health["shards"]] == ["inproc"] * 2
+        assert router["shard_mode"] == "inproc"
+        assert PERFBENCH_ROUTER_KEYS <= set(router)
+        assert router["coalesced_batches"] == 0
 
     def test_zero_reparse_memo_and_inproc_fast_path(self):
         """Byte-identical repeats are routed without JSON parsing
@@ -554,9 +556,7 @@ class TestShardModes:
             [["m", "m", "e", "m", "o"], ["f", "a", "s", "t"]]
         )
         expect = DisclosureEngine().evaluate(b, 2)
-        with BackgroundRouter(
-            shards=2, shard_mode="inproc"
-        ) as bg:
+        with BackgroundRouter(shards=2) as bg:
             client = bg.client()
             repeats = 5
             for _ in range(repeats):
@@ -568,65 +568,6 @@ class TestShardModes:
             assert router["reparse_avoided"] >= repeats - 1
             assert router["fast_hits"] >= repeats - 1
             assert stats["totals"]["cache_fast_hits"] >= repeats - 1
-
-    def test_router_coalesces_concurrent_singles_upstream(self):
-        """Concurrent identical singles bound for one process shard cost
-        the socket one upstream batch, not N round trips. The router's
-        upstream hop is held until every single has been routed, so the
-        grouping does not depend on a timing window."""
-        b = Bucketization.from_value_lists(
-            [["c", "o", "a", "l"], ["e", "s", "c", "e"]]
-        )
-        expect = DisclosureEngine().evaluate(b, 3, model="negation")
-        with BackgroundRouter(shards=2, shard_mode="process") as bg:
-            router = bg.service
-            gate = asyncio.Event()
-            forward = router._forward
-
-            async def held_forward(*args):
-                await gate.wait()
-                return await forward(*args)
-
-            router._forward = held_forward
-            workers = 6
-            shared = ServiceClient(bg.host, bg.port, pool_size=workers)
-            results: list = [None] * workers
-            errors: list = []
-
-            def hit(index: int) -> None:
-                try:
-                    results[index] = shared.disclosure(b, 3, model="negation")
-                except BaseException as exc:
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=hit, args=(i,))
-                for i in range(workers)
-            ]
-            for t in threads:
-                t.start()
-            try:
-                # Every body after the first is a memo hit, counted just
-                # before the single is queued.
-                deadline = time.monotonic() + 60
-                while router.stats.route_memo_hits < workers - 1 and not errors:
-                    assert time.monotonic() < deadline, "singles never routed"
-                    time.sleep(0.005)
-            finally:
-                bg._loop.call_soon_threadsafe(gate.set)
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive(), "a single never got its answer"
-            shared.close()
-            assert not errors
-            assert all(value == expect for value in results)
-            with bg.client() as client:
-                stats = client.stats()["router"]
-            assert stats["shard_mode"] == "process"
-            # At most two groups left: the one held at the upstream hop,
-            # and every single queued behind it.
-            assert 1 <= stats["coalesced_batches"] <= 2
-            assert stats["coalesced_singles"] >= workers - 1
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +616,6 @@ class TestRouterEndpoints:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ShardRouter(shards=0)
-        with pytest.raises(ValueError):
-            ShardRouter(shards=2, forward_timeout=0)
-        with pytest.raises(ValueError):
-            ShardRouter(shards=2, health_interval=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -872,42 +809,18 @@ class TestOversizedBody:
 
 
 # ---------------------------------------------------------------------------
-# Supervision: restart-and-replay, and per-shard cache persistence
+# The serve lifecycle, and per-shard cache persistence
 # ---------------------------------------------------------------------------
 class TestSupervision:
-    def test_killed_shards_restart_and_replay(self):
-        bs = _random_bucketizations(6, seed=9)
-        engine = DisclosureEngine()
-        with BackgroundRouter(
-            shards=SHARDS,
-            shard_mode="process",  # only subprocess shards can be killed
-            health_interval=0.2,
-        ) as bg:
-            client = bg.client()
-            for b in bs:
-                assert client.disclosure(b, 2) == engine.evaluate(b, 2)
-            for shard in bg.service.shards:
-                shard.process.kill()
-            # Every request after the massacre still gets the right bits:
-            # its target shard is revived on demand and the request replayed.
-            for b in bs:
-                assert client.disclosure(b, 2) == engine.evaluate(b, 2)
-            stats = client.stats()
-            assert stats["router"]["restarts"] >= 1
-            assert stats["router"]["replays"] >= 1
-            # The health sweep (0.2s) plus on-demand restarts revive all.
-            health = client.health()
-            assert health["ok"] is True
-
     @pytest.mark.skipif(
         not hasattr(signal, "SIGTERM"), reason="needs POSIX signals"
     )
-    @pytest.mark.parametrize("shard_mode", ["process", "inproc"])
+    @pytest.mark.parametrize("shard_mode", ["inproc"])
     def test_cli_sharded_serve_lifecycle(self, tmp_path, shard_mode):
-        """``repro serve --shards 2 --shard-mode MODE`` boots a router
-        process, serves with the right bits, and on SIGTERM shuts every
-        shard down gracefully (exit 0, one persisted cache pair per
-        shard) — in both shard modes."""
+        """``repro serve --shards 2`` boots a router process with its
+        shards embedded, serves with the right bits, and on SIGTERM shuts
+        every shard down gracefully (exit 0, one persisted cache pair per
+        shard)."""
         repo_root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = str(repo_root / "src") + (
@@ -923,8 +836,6 @@ class TestSupervision:
                 "0",
                 "--shards",
                 "2",
-                "--shard-mode",
-                shard_mode,
                 "--workers",
                 "1",
                 "--cache-file",
@@ -941,15 +852,15 @@ class TestSupervision:
             topology_line = process.stdout.readline()
             match = re.search(r"http://[^:]+:(\d+)", port_line)
             assert match, f"no port in {port_line!r}"
-            if shard_mode == "process":
-                assert "2 shards on ports" in topology_line
-            else:
-                assert "2 in-process shards" in topology_line
+            assert "2 in-process shards" in topology_line
             client = ServiceClient("127.0.0.1", int(match.group(1)))
             b = Bucketization.from_value_lists([["a", "a", "b"], ["c", "d"]])
             assert client.disclosure(b, 2) == DisclosureEngine().evaluate(b, 2)
             health = client.health()
-            assert health["ok"] is True and len(health["shards"]) == 2
+            assert health["ok"] is True
+            assert [entry["mode"] for entry in health["shards"]] == [
+                shard_mode
+            ] * 2
             client.close()
         finally:
             process.send_signal(signal.SIGTERM)
@@ -959,26 +870,19 @@ class TestSupervision:
             for mode in ("float", "exact"):
                 assert (tmp_path / f"fleet.shard{index}.{mode}.pkl").exists()
 
-    @pytest.mark.parametrize("shard_mode", ["inproc", "process"])
+    @pytest.mark.parametrize("shard_mode", ["inproc"])
     def test_per_shard_cache_persistence(self, tmp_path, shard_mode):
         prefix = tmp_path / "fleet"
         b = Bucketization.from_value_lists(
             [["p", "p", "q", "r"], ["p", "q", "s", "t"]]
         )
-        with BackgroundRouter(
-            shards=SHARDS,
-            shard_mode=shard_mode,
-            cache_path=prefix,
-        ) as bg:
+        with BackgroundRouter(shards=SHARDS, cache_path=prefix) as bg:
+            assert {shard.mode for shard in bg.service.shards} == {shard_mode}
             first = bg.client().disclosure(b, 3)
         for index in range(SHARDS):
             for mode in ("float", "exact"):
                 assert (tmp_path / f"fleet.shard{index}.{mode}.pkl").exists()
-        with BackgroundRouter(
-            shards=SHARDS,
-            shard_mode=shard_mode,
-            cache_path=prefix,
-        ) as bg:
+        with BackgroundRouter(shards=SHARDS, cache_path=prefix) as bg:
             client = bg.client()
             loaded = [
                 entry["engines"]["float"]["loaded_entries"]

@@ -1046,9 +1046,7 @@ def test_bad_cache_file_is_quarantined_and_boot_continues(
     bad = _bad_cache_bytes(kind, tmp_path, figure3_like)
     path.write_bytes(bad)
     if where == "shard":
-        host = BackgroundRouter(
-            shards=2, shard_mode="inproc", cache_path=prefix
-        )
+        host = BackgroundRouter(shards=2, cache_path=prefix)
     else:
         host = BackgroundService(
             cache_path=prefix,
