@@ -4,8 +4,8 @@ Paper reference points (ICDE 2007, Figure 5, real Adult data): both curves
 start near 0.3 at k = 0, the implication (solid) curve dominates the negation
 (dotted) curve, the gap stays small, and disclosure reaches 1 by k = 13 (14
 sensitive values). The absolute values below come from the synthetic Adult
-substitute (DESIGN.md Section 4); the shape assertions encode the paper's
-claims.
+substitute (``repro.data.adult.generate_adult``); the shape assertions encode
+the paper's claims.
 """
 
 from __future__ import annotations

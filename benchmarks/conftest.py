@@ -1,28 +1,33 @@
 """Shared benchmark fixtures: cached datasets and lattices.
 
 The benchmark suite regenerates every evaluation artifact of the paper
-(Figures 5 and 6) and measures the complexity claims of Section 3.3. Run:
+(Figures 5 and 6) and measures the complexity claims of Section 3.3. The
+files are named ``bench_*.py``, which pytest does not collect by default,
+so name them:
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_*.py --benchmark-only
 
 Reported series are attached to each benchmark's ``extra_info`` (visible with
-``--benchmark-json``) and asserted structurally in the benchmark bodies. The
-JSON-emitting benchmarks (``bench_engine``, ``bench_service``,
-``bench_publish``) also write ``BENCH_*.json`` artifacts — set
-``BENCH_TINY=1`` (as the CI smoke job does) to shrink their workloads to
-seconds.
+``--benchmark-json``) and asserted structurally in the benchmark bodies. Set
+``BENCH_TINY=1`` (as the CI smoke job does, with ``--benchmark-disable``) to
+shrink the heavier sweeps to seconds.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from reporting import tiny_mode
+import pytest
 
 from repro.data.adult import ADULT_SCHEMA, ADULT_SIZE
 from repro.data.hierarchies import adult_hierarchies
 from repro.experiments.runner import default_adult_table
 from repro.generalization.lattice import GeneralizationLattice
+
+
+def tiny_mode() -> bool:
+    """Whether to shrink workloads to CI-smoke sizes (``BENCH_TINY=1``)."""
+    return os.environ.get("BENCH_TINY") == "1"
 
 
 @pytest.fixture(scope="session")

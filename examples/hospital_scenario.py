@@ -14,7 +14,7 @@ every probability the paper's introduction computes:
 and then what the paper's own algorithms add on top:
 
 - the true maximum disclosure for L^1_basic is 2/3, achieved by a
-  same-person implication (see DESIGN.md on the paper's 10/19 remark),
+  same-person implication, above the 10/19 of the cross-bucket one,
 - the k at which the bucketization becomes fully disclosing.
 
 Run with:  python examples/hospital_scenario.py

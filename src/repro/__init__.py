@@ -47,8 +47,7 @@ this package: every disclosure computation flows through
 >>> round(engine.evaluate(b, 1, model="negation"), 4)
 0.6667
 
-See ``README.md`` for the architecture and ``DESIGN.md`` for the paper
-mapping.
+See ``README.md`` for the architecture.
 """
 
 from repro.bucketization import (

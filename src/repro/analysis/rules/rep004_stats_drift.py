@@ -1,24 +1,17 @@
-"""REP004 — stats counters, ``/stats`` assembly and bench schema agree.
+"""REP004 — stats counters and the ``/stats`` assembly agree.
 
-The serving tier's observability chain crosses three files that nothing at
-runtime ties together: a counter is incremented on a ``*Stats`` object in
-``service/``/``engine/`` code, surfaced through that class's ``as_dict``
-(the ``/stats`` payload), emitted by ``benchmarks/bench_service.py`` into
-``BENCH_service.json``, and finally asserted by
-``scripts/check_bench_schema.py``'s key sets. Any link can silently drift:
-a new counter that never reaches ``as_dict`` is invisible; a bench key
-missing from the schema key sets is unguarded against regression.
+A counter is incremented on a ``*Stats`` object in ``service/`` /
+``engine/`` code and surfaced through that class's ``as_dict`` (the
+``/stats`` payload); nothing at runtime ties the two together, so a new
+counter that never reaches ``as_dict`` is silently invisible.
 
-Three statically checkable links:
+Two statically checkable links:
 
 1. every counter attribute initialized in a ``*Stats`` class (``__init__``
    int assignment or dataclass int field) is read in that class's
    ``as_dict``;
 2. every ``<something stats>.attr += ...`` increment in ``service/`` /
-   ``engine/`` targets an attribute some ``*Stats`` class declares;
-3. every benchmark dict entry of the form ``"key": <stats mapping>["..."]``
-   uses a key present in one of ``check_bench_schema.py``'s UPPER_CASE
-   key-set literals (skipped when the script is outside the scanned tree).
+   ``engine/`` targets an attribute some ``*Stats`` class declares.
 """
 
 from __future__ import annotations
@@ -30,8 +23,6 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.core import Finding, Project, Rule, register_rule
 
 STATS_DIRS = ("src/repro/service", "src/repro/engine")
-BENCH_DIR = "benchmarks"
-SCHEMA_SCRIPT = "scripts/check_bench_schema.py"
 
 
 class _StatsClass:
@@ -91,9 +82,8 @@ class StatsCounterDrift(Rule):
     id = "REP004"
     title = "stats-counter drift"
     contract = (
-        "every stats counter is exposed by its class's as_dict, every "
-        "increment targets a declared counter, and every benchmark-emitted "
-        "stats key is covered by check_bench_schema.py's key sets"
+        "every stats counter is exposed by its class's as_dict, and every "
+        "increment targets a declared counter"
     )
 
     def check(self, project: Project) -> Iterator[Finding]:
@@ -147,50 +137,3 @@ class StatsCounterDrift(Rule):
                                 "no *Stats class declares "
                                 f"`{target.attr}`",
                             )
-
-        # Link 3: benchmark-emitted stats keys vs the schema key sets.
-        schema = project.get(SCHEMA_SCRIPT)
-        if schema is None or schema.parse_error is not None:
-            return
-        schema_keys: set[str] = set()
-        for node in ast.walk(schema.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            is_upper = any(
-                isinstance(t, ast.Name) and t.id.isupper()
-                for t in node.targets
-            )
-            if not is_upper:
-                continue
-            for sub in ast.walk(node.value):
-                if isinstance(sub, ast.Constant) and isinstance(
-                    sub.value, str
-                ):
-                    schema_keys.add(sub.value)
-        if not schema_keys:
-            return
-        for file in project.in_dir(BENCH_DIR):
-            if file.parse_error is not None:
-                continue
-            for node in ast.walk(file.tree):
-                if not isinstance(node, ast.Dict):
-                    continue
-                for key, value in zip(node.keys, node.values):
-                    if not (
-                        isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                    ):
-                        continue
-                    if not isinstance(value, ast.Subscript):
-                        continue
-                    base = dotted_name(value.value)
-                    if base is None or "stats" not in base.lower():
-                        continue
-                    if key.value not in schema_keys:
-                        yield self.finding(
-                            file,
-                            key.lineno,
-                            f"benchmark emits stats key `{key.value}` "
-                            "that no check_bench_schema.py key set "
-                            "covers — schema drift",
-                        )

@@ -140,7 +140,9 @@ def max_disclosure(
 
     Examples
     --------
-    The paper's Figure 3 bucketization (see DESIGN.md on the 10/19 remark):
+    The paper's Figure 3 bucketization. For ``k = 1`` the paper's text
+    quotes 10/19, from a cross-bucket implication; a same-person
+    implication reaches 2/3, and 2/3 is the maximum:
 
     >>> from repro.bucketization import Bucketization
     >>> figure3 = Bucketization.from_value_lists([

@@ -11,8 +11,9 @@ that involve people in a single bucket ``b``. Lemma 12 reduces the search to
 so minimizing over atom sets becomes minimizing over integer partitions of
 ``m``. This module provides:
 
-- :func:`lemma12_probability` — the closed form for one partition (with the
-  factor clamped at 0; see DESIGN.md "known discrepancies" item 3),
+- :func:`lemma12_probability` — the closed form for one partition, each
+  factor clamped at 0 (a non-positive numerator means the top-``k_i`` values
+  fill the remaining slots, so the event is impossible),
 - :class:`Minimize1Solver` — the paper's memoized ``O(k^3)`` dynamic program,
   usable in float or exact-:class:`~fractions.Fraction` arithmetic,
 - :func:`minimize1_reference` / :func:`best_partition` — direct enumeration

@@ -12,7 +12,7 @@ atom ``A``; the bucket hosting ``A`` contributes
 ``MINIMIZE1(b, m+1) * n_b / n_b(s_b^0)`` and every other bucket contributes
 ``MINIMIZE1(b, m)``.
 
-Implementation notes (see DESIGN.md Section 6):
+Implementation notes:
 
 - The DP runs **iteratively** (one backward pass over the bucket list), so
   there is no recursion-depth limit for bucketizations with tens of

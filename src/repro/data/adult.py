@@ -11,9 +11,9 @@ matching the published Adult statistics, and mild realistic correlations
 (occupation depends on gender; marital status depends on age). The worst-case
 disclosure algorithms consume only per-bucket sensitive-value histograms, so
 this preserves every code path and the qualitative shapes of Figures 5 and 6.
-The substitution is recorded in ``DESIGN.md`` (Section 4). If you have the real
-``adult.data`` file, load it with :func:`repro.data.loader.load_adult_file`
-and every experiment accepts it unchanged.
+If you have the real ``adult.data`` file, load it with
+:func:`repro.data.loader.load_adult_file` and every experiment accepts it
+unchanged.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ immediately usable everywhere.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import tempfile
@@ -72,9 +73,10 @@ def threshold_value(c: float, *, exact: bool, bounded: bool = True):
 
     ``bounded`` reflects the adversary model's scale: probability-valued
     models cap thresholds at 1; unbounded (cost-weighted) models only require
-    positivity.
+    a positive finite value. The range test is written so that NaN, which
+    fails every comparison, fails it too.
     """
-    if c <= 0 or (bounded and c > 1):
+    if not (0 < c <= 1 if bounded else 0 < c < math.inf):
         bound = "(0, 1]" if bounded else "(0, inf)"
         raise ValueError(f"threshold c must be in {bound}, got {c}")
     return Fraction(c).limit_denominator() if exact else c

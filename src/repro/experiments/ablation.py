@@ -1,4 +1,4 @@
-"""Ablation studies on the design choices DESIGN.md calls out.
+"""Ablation studies of three of the implementation's design choices.
 
 Three questions, each answerable with a function here:
 

@@ -157,13 +157,12 @@ _SHARD_SUFFIX = re.compile(r"(\.shard\d+)$")
 
 def load_tenants(source: str | Path | Mapping[str, Any]) -> dict[str, dict]:
     """Validate a tenant topology (a JSON file path, or its already-parsed
-    mapping) into ``{tenant: {"model", "params", "params_wire"}}``.
+    mapping) into ``{tenant: {"model", "params"}}``.
 
     Each tenant entry maps a tenant id to its *default* threat model:
     an optional registered model ``name`` and an optional ``params`` wire
     object (decoded here once, and test-constructed so a bad topology
-    fails at boot, not on the first request). ``params_wire`` keeps the
-    original JSON shape.
+    fails at boot, not on the first request).
 
     Raises :class:`ValueError` on any problem — the CLI maps that to a
     clean exit 1.
@@ -201,19 +200,15 @@ def load_tenants(source: str | Path | Mapping[str, Any]) -> dict[str, dict]:
                 f"tenant {tenant!r} names unknown model {name!r}; "
                 f"registered: {', '.join(available_adversaries())}"
             )
-        params_wire = entry.get("params")
-        params = decode_params(params_wire) if params_wire is not None else {}
+        wire = entry.get("params")
+        params = decode_params(wire) if wire is not None else {}
         try:
             get_adversary(name, **params)
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 f"tenant {tenant!r} default params are invalid: {exc}"
             ) from None
-        tenants[tenant] = {
-            "model": name,
-            "params": params,
-            "params_wire": params_wire,
-        }
+        tenants[tenant] = {"model": name, "params": params}
     return tenants
 
 
@@ -270,7 +265,6 @@ class RequestIdentity:
     instances: tuple[AdversaryModel, ...]
     params: Mapping[str, Any]
     cparams: tuple
-    params_wire: Any
     items: tuple
     k: int | None = None
     ks: tuple[int, ...] | None = None
@@ -385,7 +379,7 @@ class RequestResolver:
 
     def threat(self, payload: dict, tenant: str | None):
         """The request's effective threat model: ``(name, decoded params,
-        canonical params, wire params, instance)``.
+        canonical params, instance)``.
 
         Explicit ``model``/``params`` fields win; a tenant supplies the
         defaults for whichever is absent."""
@@ -400,14 +394,13 @@ class RequestResolver:
             )
         )
         if "params" in payload:
-            params_wire = payload["params"]
-            params = decode_params(params_wire)  # ValueError -> 400
+            params = decode_params(payload["params"])  # ValueError -> 400
         elif config is not None and "model" not in payload:
-            params, params_wire = config["params"], config["params_wire"]
+            params = config["params"]
         else:
-            params, params_wire = {}, None
+            params = {}
         cparams, instance = self.instance(name, params)
-        return name, params, cparams, params_wire, instance
+        return name, params, cparams, instance
 
     def identity(self, path: str, payload: dict) -> RequestIdentity:
         """Validate one parsed lookup body (no memo)."""
@@ -415,10 +408,8 @@ class RequestResolver:
         mode = resolve_mode(payload)
         if path == "/compare":
             return self._compare(payload, tenant, mode)
-        name, params, cparams, params_wire, instance = self.threat(
-            payload, tenant
-        )
-        threat = ((name,), (instance,), params, cparams, params_wire)
+        name, params, cparams, instance = self.threat(payload, tenant)
+        threat = ((name,), (instance,), params, cparams)
         if path == "/disclosure" and "bucketizations" in payload:
             ks = require_ks(payload)
             raw = require(payload, "bucketizations", list)
@@ -467,13 +458,11 @@ class RequestResolver:
         if "params" in payload:
             # One params object, applied to every listed model (the
             # /compare use case is one parametric family across k).
-            params_wire = payload["params"]
-            params = decode_params(params_wire)
+            params = decode_params(payload["params"])
         elif tenant is not None and "models" not in payload:
-            config = self.tenants[tenant]
-            params, params_wire = config["params"], config["params_wire"]
+            params = self.tenants[tenant]["params"]
         else:
-            params, params_wire = {}, None
+            params = {}
         resolved = [self.instance(name, params) for name in names]
         items = (self._items(require(payload, "buckets", list)),)
         return RequestIdentity(
@@ -484,7 +473,6 @@ class RequestResolver:
             tuple(instance for _cparams, instance in resolved),
             params,
             resolved[0][0],
-            params_wire,
             items,
             ks=_nonnegative_ks(ks),
         )
@@ -498,8 +486,8 @@ class ServiceStats(RequestStats):
     that served **more than one** concurrent single or ``/safety``
     request; ``coalesced_singles`` counts the requests so served, and
     ``max_coalesced`` the largest group — together they are the
-    observable behind the coalescing claim tested end-to-end and
-    benchmarked in ``benchmarks/bench_service.py``.
+    observable behind the coalescing claim ``tests/test_service.py``
+    checks end to end.
     ``cache_fast_hits`` counts singles and ``/safety`` requests answered
     from the engine cache on the event loop, ``series_fast_hits`` the
     ``/disclosure`` batches and ``/compare`` requests so answered, and
@@ -1010,9 +998,7 @@ class DisclosureService(JsonHttpServer):
         if tenant is not None:
             self.stats.by_tenant[tenant] += 1
         mode = resolve_mode(payload)
-        model, params, _cparams, _wire, _instance = resolver.threat(
-            payload, tenant
-        )
+        model, params, _cparams, _instance = resolver.threat(payload, tenant)
         table = require(payload, "table", str)
         if not TABLE_NAME.match(table):
             raise BadRequest(

@@ -17,7 +17,7 @@ class TestSingleBucketGap:
         assert report.trials == 150
         # The observed property: no violations. If this ever fails, a
         # counterexample to the single-bucket concentration was found —
-        # report it and update DESIGN.md.
+        # report it and update the observation in repro.experiments.ablation.
         assert report.violations == 0
         assert report.max_gap == 0.0
 

@@ -94,6 +94,13 @@ class TestCommands:
         code = main(["search", "--rows", "300", "--c", "0.01", "--k", "1"])
         assert code == 1
 
+    def test_search_rejects_non_finite_threshold(self, capsys):
+        code = main(["search", "--rows", "300", "--c", "nan", "--k", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: threshold c must be in (0, 1], got nan" in captured.err
+        assert "no safe node" not in captured.out
+
     def test_witness_command(self, capsys):
         code = main(["witness", "--rows", "400", "--k", "2"])
         assert code == 0

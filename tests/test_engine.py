@@ -45,6 +45,7 @@ from repro.engine import (
 )
 from repro.engine import engine as engine_module
 from repro.errors import SearchError, UnknownAdversaryError
+from repro.generalization.apply import bucketize_at
 
 # ---------------------------------------------------------------------------
 # Strategies (mirroring tests/test_properties.py)
@@ -308,6 +309,31 @@ class TestEngineCache:
             assert engine.evaluate(figure3, k) == series[k]
         assert engine.stats.cache_hits == 5
 
+    def test_two_epoch_lattice_sweep(self, engine, small_adult, adult_lattice):
+        """The 72 Adult lattice nodes swept twice by three models: the first
+        epoch computes each (model, signature multiset, k) once, the second
+        is all cache hits, and a fresh engine per node (no hits) gets the
+        same values."""
+        models, ks = ("implication", "negation", "weighted"), (1, 3, 5)
+        bs = [
+            bucketize_at(small_adult, adult_lattice, node)
+            for node in adult_lattice.nodes()
+        ]
+        lookups = len(models) * len(ks) * len(bs)
+        first = [engine.evaluate_many(bs, ks, model=m) for m in models]
+        hits = engine.stats.cache_hits
+        assert [engine.evaluate_many(bs, ks, model=m) for m in models] == first
+        assert engine.stats.evaluations == 2 * lookups
+        assert engine.stats.cache_hits - hits == lookups
+        multisets = {frozenset(b.signature_multiset().items()) for b in bs}
+        assert engine.stats.misses == len(models) * len(ks) * len(multisets)
+        assert engine.stats.hit_rate >= 0.5
+        for b, *series in zip(bs, *first):
+            cold = DisclosureEngine()
+            assert [cold.series(b, ks, model=m) for m in models] == series
+            assert cold.stats.cache_hits == 0
+            assert cold.stats.evaluations == len(models) * len(ks)
+
 
 class TestEngineBatch:
     def test_series_matches_legacy_series(self, engine, figure3):
@@ -387,6 +413,16 @@ class TestEngineQueries:
         result = suppress_to_safety(b, 5.0, 1, model=model)
         assert result.bucketization is not None
         assert result.disclosure < 5.0
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("model", ["implication", "weighted"])
+    def test_non_finite_threshold_rejected(self, engine, figure3, model, c):
+        """NaN compares false with every value and no cost reaches +inf, so
+        neither is a threshold, on either scale or in either arithmetic."""
+        with pytest.raises(ValueError, match="threshold c must be in"):
+            engine.is_safe(figure3, c, 1, model=model)
+        with pytest.raises(ValueError, match="threshold c must be in"):
+            DisclosureEngine(exact=True).threshold(c, model=model)
 
     def test_compare_disambiguates_parameterized_duplicates(self, engine, figure3):
         cheap = WeightedAdversary({"Flu": 2.0})

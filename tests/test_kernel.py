@@ -5,7 +5,8 @@ The acceptance claims for :mod:`repro.core.kernel`:
 1. **Exact-ULP equivalence** (property-based): the numpy MINIMIZE1 and
    MINIMIZE2 paths return *bit-identical* floats to the scalar float path
    on random signature multisets — including singleton buckets, ``k = 0``
-   and ``m > n_b`` infeasible placements — the same style of proof
+   and ``m > n_b`` infeasible placements — and on every bucket signature
+   of the 72 Adult lattice nodes, the same style of proof
    ``test_backend.py`` gives for serial == persistent. MINIMIZE2's backward
    pass, a plain float loop that needs no numpy, is compared with the
    scalar loop at every bucket position, since witnesses walk them.
@@ -32,6 +33,7 @@ from repro.core import kernel
 from repro.core.minimize1 import Minimize1Solver
 from repro.core.minimize2 import MinRatioComputation, min_ratio_table
 from repro.engine import DisclosureEngine
+from repro.generalization.apply import bucketize_at
 
 requires_numpy = pytest.mark.skipif(
     not kernel.numpy_available(), reason="numpy not installed"
@@ -145,6 +147,33 @@ class TestMinimize2Equivalence:
         with_dedupe = min_ratio_table(sigs, 3, kernel="numpy", dedupe=True)
         without = min_ratio_table(sigs, 3, kernel="numpy", dedupe=False)
         assert with_dedupe == without
+
+
+@requires_numpy
+def test_lattice_signatures_bit_identical(small_adult, adult_lattice):
+    """The real workload, not random draws: every bucket signature of the
+    72 Adult lattice nodes through both kernels, MINIMIZE1's batched tables
+    at ``max_m`` 8 and each node's MINIMIZE2 table at ``max_k`` 5."""
+    per_node = [
+        [
+            sig
+            for sig, count in bucketize_at(
+                small_adult, adult_lattice, node
+            ).signature_items()
+            for _ in range(count)
+        ]
+        for node in adult_lattice.nodes()
+    ]
+    assert len(per_node) == 72
+    distinct = sorted({sig for sigs in per_node for sig in sigs})
+    results = {
+        kern: (
+            Minimize1Solver(kernel=kern).tables(distinct, 8),
+            [min_ratio_table(sigs, 5, kernel=kern) for sigs in per_node],
+        )
+        for kern in ("scalar", "numpy")
+    }
+    assert results["numpy"] == results["scalar"]
 
 
 class TestMinimize2BackwardIdentity:

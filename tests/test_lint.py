@@ -73,7 +73,6 @@ EXPECTED_FIXTURE_HITS = {
     "REP004": [
         ("src/repro/engine/stats_fixture.py", "counter `dropped` of `LeakyStats`"),
         ("src/repro/engine/stats_fixture.py", "no *Stats class declares `ghost`"),
-        ("benchmarks/bench_drift.py", "stats key `ghost_counter`"),
     ],
     "REP005": [
         ("src/repro/engine/nondet_fixture.py", "random.choice()"),

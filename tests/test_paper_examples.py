@@ -61,7 +61,7 @@ class TestSection23MaxDisclosureExample:
     cross-bucket flu implication. Its own Definitions admit same-person
     implications (the negation encoding of Section 2.2 IS one), and those
     reach 2/3 — which MINIMIZE1/2, brute force, and the exact engine all
-    agree on. Documented in DESIGN.md."""
+    agree on."""
 
     def test_cross_bucket_formula_reaches_10_19(self, figure3):
         phi = simple_implication("Hannah", "Flu", "Charlie", "Flu")

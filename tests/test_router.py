@@ -678,6 +678,15 @@ REJECTED = [
         {"buckets": [["a"]], "ks": [1], "models": ["probabilistic"],
          "params": {"confidence": "3/2"}},
     ),
+    # Non-finite thresholds: Python's json reads NaN and Infinity literals.
+    ("/safety", b'{"buckets": [["a", "a", "b"]], "k": 1, "c": NaN}'),
+    ("/safety", b'{"buckets": [["a"]], "k": 1, "c": Infinity, "model": "weighted"}'),
+    (
+        "/safety",
+        b'{"buckets": [["a"]], "k": 1, "c": Infinity, "model": "weighted", '
+        b'"exact": true}',
+    ),
+    ("/safety", b'{"buckets": [["a"]], "k": 1, "c": -Infinity}'),
 ]
 
 

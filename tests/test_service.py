@@ -962,11 +962,7 @@ class TestParamsAndTenants:
 
     def test_tenant_entry_may_omit_params(self):
         tenants = load_tenants({"t": {"model": "negation"}})
-        assert tenants["t"] == {
-            "model": "negation",
-            "params": {},
-            "params_wire": None,
-        }
+        assert tenants["t"] == {"model": "negation", "params": {}}
 
 
 def test_background_service_cache_roundtrip(tmp_path, figure3_like):
